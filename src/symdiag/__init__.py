@@ -39,13 +39,12 @@ from .oracle import (
     hierarchy_level,
 )
 from .pauli import PauliLabel, PhasedPauli, commutes, multiply, normalize_label, symplectic_inner
-from .ring import binary_expansion, elementwise_product, xor_as_ring
+from .ring import binary_expansion, xor_as_ring
 from .symplectic import (
     CliffordGen,
-    GammaMatrix,
     apply_gamma,
     basis_change_generator,
-    gamma_of,
+    gamma_matrix,
     hadamard_generator,
     partial_hadamard_generator,
     phase_generator,
@@ -55,7 +54,6 @@ from .tracker import (
     Circuit,
     StructuredGenerator,
     apply_clifford,
-    apply_clifford_after_diagonal,
     apply_diagonal,
     circuit_from_dict,
     circuit_to_dict,
@@ -70,14 +68,12 @@ __all__ = [
     "Circuit",
     "CliffordGen",
     "ConjugationResult",
-    "GammaMatrix",
     "InfeasibleDiagonalError",
     "PauliLabel",
     "PhasedPauli",
     "StructuredGenerator",
     "SymForm",
     "apply_clifford",
-    "apply_clifford_after_diagonal",
     "apply_diagonal",
     "apply_gamma",
     "basis_change_generator",
@@ -91,11 +87,10 @@ __all__ = [
     "dense_diagonal",
     "dense_pauli",
     "diagonal_entries",
-    "elementwise_product",
     "enumerate_canonical_forms",
     "equal_up_to_global_phase",
     "full_recursion_trace",
-    "gamma_of",
+    "gamma_matrix",
     "global_phase_exponent",
     "group_add",
     "group_negate",

@@ -35,6 +35,7 @@ from .oracle import (
     hierarchy_level,
 )
 from .pauli import PauliLabel, multiply
+from .symplectic import apply_gamma
 
 
 @dataclass
@@ -313,8 +314,8 @@ def check_exponent_conjugation_shift(
 def check_sandwich_product_identity(
     samples: int, rng: np.random.Generator, m: int = 2, k: int = 3, tol: float = ATOL
 ) -> CheckResult:
-    """Dense sandwiched-product identity with e = b0 + a0 R, f = d0 + c0 R."""
-    M = 1 << k
+    """Dense sandwiched-product identity with e = b0 + a0 R, f = d0 + c0 R,
+    the unreduced labels of the row action of Gamma(R)."""
     checked = 0
     max_dev = 0.0
     for _ in range(samples):
@@ -324,8 +325,8 @@ def check_sandwich_product_identity(
         c, d = random_int_vector(rng, m), random_int_vector(rng, m)
         a0, b0 = a & 1, b & 1
         c0, d0 = c & 1, d & 1
-        e = (b0 + a0 @ form.matrix) % M
-        f = (d0 + c0 @ form.matrix) % M
+        _, e = apply_gamma(PauliLabel(tuple(a0), tuple(b0)), form)
+        _, f = apply_gamma(PauliLabel(tuple(c0), tuple(d0)), form)
         conj_ab = conjugate_dense(u, dense_pauli(PauliLabel(tuple(a), tuple(b))))
         conj_cd = conjugate_dense(u, dense_pauli(PauliLabel(tuple(c), tuple(d))))
         lhs = conj_cd @ conj_ab

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import ring
 from .checks import default_suites
 from .diagonal import (
     InfeasibleDiagonalError,
@@ -26,11 +27,12 @@ from .diagonal import (
     full_recursion_trace,
     group_add,
     group_order,
+    standard_gate_table,
     synthesize,
     tensor,
 )
 from .pauli import PauliLabel
-from .symplectic import gamma_of
+from .symplectic import gamma_matrix, is_binary_symplectic
 
 #: complex diagonal entries must match some 2^k-th root of unity below this cap
 PHASE_MATCH_CAP = 12
@@ -56,10 +58,6 @@ def _load_payload(text: str):
 
 def _emit(obj) -> None:
     print(json.dumps(obj))
-
-
-def _form_dict(form: SymForm) -> dict:
-    return {"m": form.m, "k": form.k, "R": [list(row) for row in form.entries]}
 
 
 def _exponents_from_diagonal(diag, k_hint: int) -> tuple[int, list[int], complex]:
@@ -99,23 +97,21 @@ def cmd_synth(args) -> int:
     if not isinstance(payload, dict):
         raise CLIError("synthesis payload must be a JSON object")
     out: dict = {}
+    k_hint = payload.get("k", 1 if args.k_hint is None else args.k_hint)
+    k_hint = int(ring.as_integers(k_hint))
     if "exponents" in payload:
         if "k" not in payload and args.k_hint is None:
             raise CLIError("exponent payload needs a level: a \"k\" field or --k-hint")
-        k_hint = int(payload.get("k", args.k_hint if args.k_hint is not None else 1))
-        exps = payload["exponents"]
-        if exps:
+        exps = ring.as_integers(payload["exponents"])
+        if len(exps):
             out["global_phase_exponent"] = int(exps[0]) % (1 << max(k_hint, 1))
     elif "diagonal" in payload:
-        k_hint = int(payload.get("k", args.k_hint if args.k_hint is not None else 1))
         k_hint, exps, phase0 = _exponents_from_diagonal(payload["diagonal"], k_hint)
         out["global_phase"] = [phase0.real, phase0.imag]
     else:
         raise CLIError('synthesis payload needs an "exponents" or "diagonal" field')
     try:
         form = synthesize(exps, k_hint)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
     except InfeasibleDiagonalError as exc:
         _emit({"infeasible": True, "witness": list(exc.witness), "level": exc.level, **out})
         return 2
@@ -140,8 +136,6 @@ def cmd_conjugate(args) -> int:
 
 
 def cmd_table(args) -> int:
-    from .diagonal import standard_gate_table
-
     rows = []
     for name, form in standard_gate_table():
         exps = diagonal_entries(form)
@@ -229,30 +223,17 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_tensor(args) -> int:
+def cmd_compose(args) -> int:
+    """`tensor` and `add`: combine two gate forms with args.combine."""
     f1 = SymForm.from_dict(_load_payload(args.g1))
     f2 = SymForm.from_dict(_load_payload(args.g2))
-    try:
-        _emit(_form_dict(tensor(f1, f2)))
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
-    return 0
-
-
-def cmd_add(args) -> int:
-    f1 = SymForm.from_dict(_load_payload(args.g1))
-    f2 = SymForm.from_dict(_load_payload(args.g2))
-    try:
-        _emit(_form_dict(group_add(f1, f2)))
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
+    _emit(args.combine(f1, f2).to_dict())
     return 0
 
 
 def cmd_gamma(args) -> int:
-    form = SymForm.from_dict(_load_payload(args.gate))
-    gm = gamma_of(form)
-    _emit({"Gamma": gm.matrix.tolist(), "symplectic_mod2_ok": gm.symplectic_mod2_ok()})
+    gamma = gamma_matrix(SymForm.from_dict(_load_payload(args.gate)))
+    _emit({"Gamma": gamma.tolist(), "symplectic_mod2_ok": is_binary_symplectic(gamma)})
     return 0
 
 
@@ -263,19 +244,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    json_note = "output is always JSON for this subcommand"
-
     p = sub.add_parser("synth", help="find the form matching a diagonal or exponent list")
     p.add_argument("input", help='JSON: {"k": int, "exponents": [...]} or {"diagonal": [[re, im], ...]}')
     p.add_argument("--k-hint", type=int, default=None, help="starting level when the payload has no k")
-    p.add_argument("--json", action="store_true", help=json_note)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("conjugate", help="conjugate a Hermitian Pauli by a diagonal gate")
     p.add_argument("--gate", required=True, help='gate JSON {"m", "k", "R"}')
     p.add_argument("--pauli", required=True, help='Pauli JSON {"a", "b"}')
     p.add_argument("--trace", action="store_true", help="full recursion down to level 1")
-    p.add_argument("--json", action="store_true", help=json_note)
     p.set_defaults(func=cmd_conjugate)
 
     p = sub.add_parser("table", help="standard one- and two-qubit gate forms")
@@ -303,21 +280,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("tensor", help="tensor product of two gate forms")
-    p.add_argument("--g1", required=True)
-    p.add_argument("--g2", required=True)
-    p.add_argument("--json", action="store_true", help=json_note)
-    p.set_defaults(func=cmd_tensor)
-
-    p = sub.add_parser("add", help="group-law sum of two gate forms at the same (m, k)")
-    p.add_argument("--g1", required=True)
-    p.add_argument("--g2", required=True)
-    p.add_argument("--json", action="store_true", help=json_note)
-    p.set_defaults(func=cmd_add)
+    for name, combine, help_text in (
+        ("tensor", tensor, "tensor product of two gate forms"),
+        ("add", group_add, "group-law sum of two gate forms at the same (m, k)"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--g1", required=True)
+        p.add_argument("--g2", required=True)
+        p.set_defaults(func=cmd_compose, combine=combine)
 
     p = sub.add_parser("gamma", help="integer symplectic lift of a form, with the mod-2 check")
     p.add_argument("gate", help='gate JSON {"m", "k", "R"}')
-    p.add_argument("--json", action="store_true", help=json_note)
     p.set_defaults(func=cmd_gamma)
 
     return parser
@@ -327,10 +300,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, TypeError, IndexError) as exc:
+    except (CLIError, ValueError, KeyError, TypeError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -39,34 +39,27 @@ class SymForm:
 
     def __post_init__(self):
         k = ring.check_level(self.k, minimum=0)
-        rows = [tuple(int(x) for x in row) for row in self.entries]
-        m = len(rows)
-        if any(len(row) != m for row in rows):
+        mat = ring.as_integers(self.entries)
+        if mat.size == 0:
+            mat = mat.reshape(0, 0)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("entries must form a square matrix")
-        for i in range(m):
-            for j in range(i + 1, m):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"matrix not symmetric at ({i},{j})")
-        diag_mod = ring.modulus(k)
-        off_mod = ring.modulus(max(k - 1, 0))
-        canon = tuple(
-            tuple(
-                rows[i][j] % diag_mod if i == j else rows[i][j] % off_mod
-                for j in range(m)
-            )
-            for i in range(m)
-        )
-        object.__setattr__(self, "entries", canon)
+        asymmetric = mat != mat.T
+        if asymmetric.any():
+            i, j = np.argwhere(np.triu(asymmetric))[0]
+            raise ValueError(f"matrix not symmetric at ({i},{j})")
+        canon = mat % ring.modulus(max(k - 1, 0))
+        np.fill_diagonal(canon, mat.diagonal() % ring.modulus(k))
+        object.__setattr__(self, "entries", tuple(map(tuple, canon.tolist())))
         object.__setattr__(self, "k", k)
 
     @classmethod
     def zeros(cls, m: int, k: int) -> "SymForm":
-        return cls(tuple((0,) * m for _ in range(m)), k)
+        return cls(np.zeros((m, m), dtype=np.int64), k)
 
     @classmethod
     def from_matrix(cls, mat, k: int) -> "SymForm":
-        mat = np.atleast_2d(np.asarray(mat, dtype=np.int64))
-        return cls(tuple(tuple(int(x) for x in row) for row in mat), k)
+        return cls(np.atleast_2d(ring.as_integers(mat)), k)
 
     @property
     def m(self) -> int:
@@ -198,43 +191,36 @@ def _label_layers(form: SymForm, a, b):
     return a & 1, (a >> 1) & 1, b & 1, (b >> 1) & 1
 
 
-def residual_exponent(v, form: SymForm, a, b) -> int:
-    """Exponent at basis state v of the residual diagonal after conjugation.
+def _residual_exponents(V: np.ndarray, form: SymForm, a, b) -> np.ndarray:
+    """Residual exponents at the basis rows of V (levels k >= 2).
 
-    Defined for levels k >= 2.  The constant part (independent of v) is the
-    global phase exponent; the v-dependent part is twice a quadratic form
-    one level down.
+    The constant part is the global phase exponent; the row-dependent part
+    (2 + 2^(k-1)) v R a0 - 4 (v OR a0) R (v AND a0) is twice a quadratic
+    form one level down.
     """
     k = form.k
     if k < 2:
         raise ValueError("residual exponent needs level k >= 2")
-    v = ring.as_bit_vector(v)
-    a0, a1, b0, b1 = _label_layers(form, a, b)
+    phi = global_phase_exponent(form, a, b)
+    a0 = ring.as_int_vector(a) & 1
     R = form.matrix
-    val = (
-        (1 - (1 << (k - 2))) * int(a0 @ R @ a0)
-        + (1 << (k - 1)) * (int(a0 @ b1) + int(b0 @ a1))
-        + (2 + (1 << (k - 1))) * int(v @ R @ a0)
-        - 4 * xor_carry(v, form, a0)
-    )
-    return val % ring.modulus(k)
+    meet = V * a0
+    carry = np.einsum("ij,jk,ik->i", V + a0 - meet, R, meet)
+    vals = phi + (2 + (1 << (k - 1))) * (V @ (R @ a0)) - 4 * carry
+    return vals % ring.modulus(k)
+
+
+def residual_exponent(v, form: SymForm, a, b) -> int:
+    """Exponent at basis state v of the residual diagonal after conjugation."""
+    v = ring.as_bit_vector(v)
+    if len(v) != form.m:
+        raise ValueError(f"length mismatch: vector of {len(v)} vs form on {form.m}")
+    return int(_residual_exponents(v[None, :], form, a, b)[0])
 
 
 def residual_exponent_list(form: SymForm, a, b) -> np.ndarray:
     """residual_exponent over all basis vectors, in index order."""
-    k = form.k
-    if k < 2:
-        raise ValueError("residual exponent needs level k >= 2")
-    a0, a1, b0, b1 = _label_layers(form, a, b)
-    R = form.matrix
-    V = index_vectors(form.m)
-    meet = V * a0[None, :]
-    carry = np.einsum("ij,jk,ik->i", (V + a0[None, :]) - meet, R, meet)
-    const = (1 - (1 << (k - 2))) * int(a0 @ R @ a0) + (1 << (k - 1)) * (
-        int(a0 @ b1) + int(b0 @ a1)
-    )
-    vals = const + (2 + (1 << (k - 1))) * (V @ (R @ a0)) - 4 * carry
-    return vals % ring.modulus(k)
+    return _residual_exponents(index_vectors(form.m), form, a, b)
 
 
 def global_phase_exponent(form: SymForm, a, b) -> int:
@@ -250,11 +236,19 @@ def global_phase_exponent(form: SymForm, a, b) -> int:
     return val % ring.modulus(k)
 
 
+def _label_step(form: SymForm, a0: np.ndarray, b0: np.ndarray) -> np.ndarray:
+    """Unreduced label b0 + a0 R (mod 2^max(k, 1)) of the row action
+    [a0, b0] Gamma(R); its second binary layer is the sign that reducing
+    the label mod 2 folds into the conjugation phase."""
+    return (b0 + a0 @ form.matrix) % ring.modulus(max(form.k, 1))
+
+
 def residual_form(form: SymForm, a) -> SymForm:
     """Symmetric form of the residual diagonal gate, one level down.
 
-    Built from the projections of R onto the support of a0; canonical at
-    level k-1.  Requires k >= 2.
+    Off the diagonal, R'_ij = -R_ij (a0_i XOR a0_j); on it,
+    R'_ii = (1 + 2^(k-2) - 2 a0_i) (a0 R)_i.  Canonical at level k-1;
+    O(m^2).  Requires k >= 2.
     """
     k = form.k
     if k < 2:
@@ -263,13 +257,8 @@ def residual_form(form: SymForm, a) -> SymForm:
     if len(a0) != form.m:
         raise ValueError(f"length mismatch: vector of {len(a0)} vs form on {form.m}")
     R = form.matrix
-    abar = 1 - a0
-    a_row = a0 @ R
-    D_a = np.diag(a0)
-    D_abar = np.diag(abar)
-    raw = (1 + (1 << (k - 2))) * np.diag(a_row) - (
-        D_abar @ R @ D_a + D_a @ R @ D_abar + 2 * np.diag(a_row * a0)
-    )
+    raw = -R * (a0[:, None] ^ a0[None, :])
+    np.fill_diagonal(raw, ((1 + (1 << (k - 2))) - 2 * a0) * (a0 @ R))
     return SymForm.from_matrix(raw, k - 1)
 
 
@@ -298,9 +287,8 @@ def conjugate(form: SymForm, p: PauliLabel) -> ConjugationResult:
         return ConjugationResult(1, phi, label, SymForm.zeros(form.m, 0))
     M = ring.modulus(k)
     phi = global_phase_exponent(form, p.a_vec, p.b_vec)
-    w = (b0 + a0 @ form.matrix) % M
-    w1 = (w >> 1) & 1
-    phi = (phi + (1 << (k - 1)) * int(a0 @ w1)) % M
+    w = _label_step(form, a0, b0)
+    phi = (phi + (1 << (k - 1)) * int(a0 @ ((w >> 1) & 1))) % M
     label = PauliLabel(tuple(a0), tuple(w & 1))
     return ConjugationResult(k, phi, label, residual_form(form, p.a_vec))
 
@@ -377,7 +365,7 @@ def synthesize(exponents, k_hint: int) -> SymForm:
     on failure the mismatching basis vector is raised as a witness, and no
     level escalation could ever repair it.
     """
-    e = np.asarray(list(exponents), dtype=np.int64)
+    e = ring.as_integers(exponents)
     n = len(e)
     if n < 2 or (n & (n - 1)) != 0:
         raise ValueError(f"exponent list length {n} is not a power of two >= 2")

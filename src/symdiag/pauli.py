@@ -33,8 +33,8 @@ class PauliLabel:
     b: tuple[int, ...]
 
     def __post_init__(self):
-        a = tuple(int(x) for x in self.a)
-        b = tuple(int(x) for x in self.b)
+        a = tuple(ring.as_integers(self.a).tolist())
+        b = tuple(ring.as_integers(self.b).tolist())
         if len(a) == 0:
             raise ValueError("labels need at least one qubit")
         if len(a) != len(b):

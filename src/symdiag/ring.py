@@ -22,7 +22,7 @@ MAX_LEVEL = 16
 
 def check_level(k: int, minimum: int = 1) -> int:
     """Validate a level exponent, returning it as a plain int."""
-    if not isinstance(k, (int, np.integer)):
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise TypeError(f"level must be an integer, got {type(k).__name__}")
     k = int(k)
     if k < minimum or k > MAX_LEVEL:
@@ -37,15 +37,34 @@ def modulus(k: int) -> int:
 
 def residue(x, k: int):
     """Canonical residue(s) of x modulo 2^k, in [0, 2^k)."""
-    m = modulus(k)
-    if np.isscalar(x) or isinstance(x, (int, np.integer)):
-        return int(x) % m
-    return np.asarray(x, dtype=np.int64) % m
+    r = as_integers(x) % modulus(k)
+    return int(r) if r.ndim == 0 else r
+
+
+def as_integers(x) -> np.ndarray:
+    """x as an exact int64 array, refusing bool and non-integral entries.
+
+    Integer-dtype arrays pass on their dtype alone.  Anything else is
+    checked entry by entry: True and 1.7 raise ValueError, while integral
+    floats such as 2.0 (np.eye output, JSON numbers) are accepted.
+    """
+    if isinstance(x, np.ndarray) and x.dtype.kind in "iu":
+        return x.astype(np.int64, copy=False)
+    arr = np.asarray(x, dtype=object)
+    if not set(map(type, arr.flat)) <= {int, np.int64}:
+        for v in arr.flat:
+            whole = isinstance(v, (float, np.floating)) and float(v).is_integer()
+            if isinstance(v, bool) or not (whole or isinstance(v, (int, np.integer))):
+                raise ValueError(f"expected an integer, got {v!r}")
+    try:
+        return arr.astype(np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"integer outside the int64 range: {exc}") from exc
 
 
 def as_int_vector(x) -> np.ndarray:
     """Coerce to a 1-d int64 vector with non-negative entries."""
-    v = np.atleast_1d(np.asarray(x, dtype=np.int64))
+    v = np.atleast_1d(as_integers(x))
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got shape {v.shape}")
     if v.size and v.min() < 0:
@@ -77,21 +96,6 @@ def binary_expansion(x, layers: int) -> list[np.ndarray]:
     return [(v >> i) & 1 for i in range(layers)]
 
 
-def layer(x, i: int) -> np.ndarray:
-    """Single binary layer x_i of an integer vector."""
-    return (as_int_vector(x) >> i) & 1
-
-
-def from_layers(layers: list[np.ndarray]) -> np.ndarray:
-    """Inverse of binary_expansion: sum(2^i * x_i)."""
-    if not layers:
-        raise ValueError("need at least one layer")
-    acc = np.zeros_like(as_bit_vector(layers[0]))
-    for i, li in enumerate(layers):
-        acc = acc + (as_bit_vector(li) << i)
-    return acc
-
-
 def xor_as_ring(v, w, k: int) -> np.ndarray:
     """Bitwise XOR of two bit vectors, written in Z_{2^k}.
 
@@ -104,10 +108,3 @@ def xor_as_ring(v, w, k: int) -> np.ndarray:
     require_same_length(v, w)
     return (v + w - 2 * v * w) % modulus(k)
 
-
-def elementwise_product(v, w) -> np.ndarray:
-    """Entrywise product of two bit vectors of equal length."""
-    v = as_bit_vector(v)
-    w = as_bit_vector(w)
-    require_same_length(v, w)
-    return v * w

@@ -1,11 +1,14 @@
 """Binary and integer symplectic matrices.
 
-The upper-triangular block lift Gamma(R) = [[I, R], [0, I]] of a symmetric
-form satisfies the symplectic condition modulo 2 and carries the label part
-of diagonal-gate conjugation.  The standard Clifford generator set is
-provided as (binary symplectic F, dense unitary) pairs: transversal
-Hadamard, basis changes |v> -> |vQ|, Clifford diagonal phase layers, and
-partial Hadamards on a suffix of the qubits.
+gamma_matrix builds the upper-triangular block lift Gamma(R) = [[I, R],
+[0, I]] of a symmetric form.  It satisfies the symplectic condition modulo
+2 (is_binary_symplectic, the one such check) and carries the label part of
+diagonal-gate conjugation: apply_gamma computes [a0, b0] Gamma(R) with the
+same label step that diagonal.conjugate uses.  The standard Clifford
+generator set is provided as (binary symplectic F, dense unitary) pairs:
+transversal Hadamard, basis changes |v> -> |vQ>, Clifford diagonal phase
+layers (whose F is Gamma(R) at level 2), and partial Hadamards on a suffix
+of the qubits.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ring
-from .diagonal import SymForm, basis_index, index_vectors
+from .diagonal import SymForm, _label_step, basis_index, index_vectors
 from .oracle import dense_diagonal
 from .pauli import PauliLabel
 
@@ -38,53 +41,16 @@ def is_binary_symplectic(F: np.ndarray) -> bool:
     return bool(np.array_equal((F @ w @ F.T) % 2, w % 2))
 
 
-def symplectic_to_dict(F: np.ndarray) -> dict:
-    return {"F": np.asarray(F, dtype=np.int64).tolist()}
+def gamma_matrix(form: SymForm) -> np.ndarray:
+    """Integer symplectic lift Gamma(R) = [[I, R], [0, I]] of a symmetric form."""
+    m = form.m
+    out = np.eye(2 * m, dtype=np.int64)
+    out[:m, m:] = form.matrix
+    return out
 
 
-def symplectic_from_dict(d: dict) -> np.ndarray:
-    F = np.array(d["F"], dtype=np.int64)
-    if not is_binary_symplectic(F):
-        raise ValueError("matrix fails the binary symplectic condition")
-    return F
-
-
-@dataclass(frozen=True)
-class GammaMatrix:
-    """Integer symplectic lift [[I, R], [0, I]] of a symmetric form."""
-
-    form: SymForm
-
-    @property
-    def m(self) -> int:
-        return self.form.m
-
-    @property
-    def k(self) -> int:
-        return self.form.k
-
-    @property
-    def matrix(self) -> np.ndarray:
-        m = self.m
-        out = np.eye(2 * m, dtype=np.int64)
-        out[:m, m:] = self.form.matrix
-        return out
-
-    def symplectic_mod2_ok(self) -> bool:
-        g = self.matrix
-        w = omega(self.m)
-        return bool(np.array_equal((g @ w @ g.T) % 2, w))
-
-    def to_dict(self) -> dict:
-        return {"form": self.form.to_dict(), "Gamma": self.matrix.tolist()}
-
-
-def gamma_of(form: SymForm) -> GammaMatrix:
-    return GammaMatrix(form)
-
-
-def apply_gamma(label: PauliLabel, gm: GammaMatrix) -> tuple[PauliLabel, np.ndarray]:
-    """Row-vector action [a0, b0] Gamma = [a0, b0 + a0 R] on a binary label.
+def apply_gamma(label: PauliLabel, form: SymForm) -> tuple[PauliLabel, np.ndarray]:
+    """Row-vector action [a0, b0] Gamma(R) = [a0, b0 + a0 R] on a binary label.
 
     Returns both the mod-2 reduced output label and the unreduced integer
     vector b0 + a0 R (mod 2^k); the second binary layer of the unreduced
@@ -93,12 +59,10 @@ def apply_gamma(label: PauliLabel, gm: GammaMatrix) -> tuple[PauliLabel, np.ndar
     """
     if not label.is_binary():
         raise ValueError("apply_gamma expects a binary label")
-    if label.m != gm.m:
-        raise ValueError(f"dimension mismatch: label on {label.m}, Gamma on {gm.m}")
-    a0, b0 = label.a_vec, label.b_vec
-    unreduced = (b0 + a0 @ gm.form.matrix) % ring.modulus(max(gm.k, 1))
-    reduced = PauliLabel(tuple(a0), tuple(unreduced & 1))
-    return reduced, unreduced
+    if label.m != form.m:
+        raise ValueError(f"dimension mismatch: label on {label.m}, form on {form.m}")
+    unreduced = _label_step(form, label.a_vec, label.b_vec)
+    return PauliLabel(label.a, tuple(unreduced & 1)), unreduced
 
 
 def gf2_inverse(Q: np.ndarray) -> np.ndarray:
@@ -170,7 +134,7 @@ def basis_change_generator(Q) -> CliffordGen:
     F is block-diagonal with blocks Q and Q^-T; covers CNOT circuits and
     qubit permutations.
     """
-    Q = np.asarray(Q, dtype=np.int64) % 2
+    Q = ring.as_integers(Q) % 2
     m = Q.shape[0]
     Qinv = gf2_inverse(Q)
     F = np.zeros((2 * m, 2 * m), dtype=np.int64)
@@ -189,15 +153,13 @@ def phase_generator(R) -> CliffordGen:
 
     Equals the level-2 gate of the form R; covers CZ and P layers.
     """
-    R = np.asarray(R, dtype=np.int64)
+    R = ring.as_integers(R)
     if not np.array_equal(R, R.T):
         raise ValueError("phase layer needs a symmetric matrix")
     if R.size and (R.min() < 0 or R.max() > 1):
         raise ValueError("phase layer needs a binary matrix")
-    m = R.shape[0]
-    F = np.eye(2 * m, dtype=np.int64)
-    F[:m, m:] = R
-    return CliffordGen("T_R", F, dense_diagonal(SymForm.from_matrix(R, 2)), {"R": R})
+    form = SymForm.from_matrix(R, 2)
+    return CliffordGen("T_R", gamma_matrix(form), dense_diagonal(form), {"R": R})
 
 
 def partial_hadamard_generator(m: int, t: int) -> CliffordGen:
@@ -210,10 +172,6 @@ def partial_hadamard_generator(m: int, t: int) -> CliffordGen:
     F = np.block([[upper, lower], [lower, upper]])
     dense = np.kron(np.eye(1 << t, dtype=complex), _hadamard_dense(m - t))
     return CliffordGen("partialH", F, dense, {"t": t})
-
-
-def identity_generator(m: int) -> CliffordGen:
-    return basis_change_generator(np.eye(m, dtype=np.int64))
 
 
 def table1_generators(m: int, Q=None, R=None, t: int = 0) -> list[CliffordGen]:
@@ -243,7 +201,7 @@ def generator_from_dict(m: int, d: dict) -> CliffordGen:
     if kind == "T_R":
         return phase_generator(np.array(params["R"]))
     if kind == "partialH":
-        return partial_hadamard_generator(m, int(params["t"]))
+        return partial_hadamard_generator(m, int(ring.as_integers(params["t"])))
     raise ValueError(f"unknown Clifford generator kind: {kind!r}")
 
 

@@ -10,6 +10,10 @@ regime (a Hadamard acting on a live residual, or a non-permutation basis
 change on a residual above level 2) leaves the family of quadratic-form
 diagonals, so the residual is demoted to an explicit dense Opaque factor
 rather than silently approximated.
+
+There is one step per layer kind: apply_diagonal for a form and
+apply_clifford for a generator, whatever residuals the generators carry.
+run_circuit alternates them from initial_stabilizer.
 """
 
 from __future__ import annotations
@@ -162,10 +166,17 @@ def _conjugate_residual(residual, gen: CliffordGen):
     return conjugate_dense(gen.unitary, dense_diagonal(residual))
 
 
-def apply_clifford_after_diagonal(
+def apply_clifford(
     gens: list[StructuredGenerator], layer: CliffordGen
 ) -> list[StructuredGenerator]:
-    """Push a Clifford layer through generators that may carry residuals."""
+    """Push a Clifford layer through every generator.
+
+    The label moves by the layer's binary symplectic F and the sign is
+    read off dense conjugation.  Empty residuals stay empty, form residuals are
+    relabelled or kept where the layer preserves the quadratic-form family
+    and demoted to dense Opaque factors otherwise, and Opaque residuals
+    are conjugated densely.
+    """
     out = []
     for g in gens:
         if g.m != layer.m:
@@ -177,22 +188,6 @@ def apply_clifford_after_diagonal(
             StructuredGenerator(sign, g.phase_num, g.phase_log2_den, new_label, residual)
         )
     return out
-
-
-def apply_clifford(
-    gens: list[StructuredGenerator], layer: CliffordGen
-) -> list[StructuredGenerator]:
-    """Clifford step in the pre-diagonal regime.
-
-    Requires empty or Opaque residuals; form-carrying generators go through
-    apply_clifford_after_diagonal.
-    """
-    for g in gens:
-        if isinstance(g.residual, SymForm):
-            raise ValueError(
-                "generator carries a form residual; use apply_clifford_after_diagonal"
-            )
-    return apply_clifford_after_diagonal(gens, layer)
 
 
 @dataclass(eq=False)
@@ -216,7 +211,7 @@ def run_circuit(circuit: Circuit) -> list[StructuredGenerator]:
         if isinstance(layer, SymForm):
             gens = apply_diagonal(gens, layer)
         else:
-            gens = apply_clifford_after_diagonal(gens, layer)
+            gens = apply_clifford(gens, layer)
     return gens
 
 
@@ -251,13 +246,13 @@ def verify_against_oracle(circuit: Circuit, tol: float = ATOL) -> dict:
 
 
 def circuit_from_dict(d: dict) -> Circuit:
-    m, k = int(d["m"]), int(d["k"])
+    m, k = ring.as_integers([d["m"], d["k"]]).tolist()
     layers = []
     for entry in d["layers"]:
         if entry["type"] == "clifford":
             layers.append(generator_from_dict(m, entry))
         elif entry["type"] == "diagonal":
-            layers.append(SymForm.from_dict({"R": entry["R"], "k": entry["k"]}))
+            layers.append(SymForm.from_dict(entry))
         else:
             raise ValueError(f"unknown layer type: {entry['type']!r}")
     return Circuit(m, k, layers)
@@ -267,9 +262,7 @@ def circuit_to_dict(circuit: Circuit) -> dict:
     layers = []
     for layer in circuit.layers:
         if isinstance(layer, SymForm):
-            layers.append(
-                {"type": "diagonal", "R": [list(r) for r in layer.entries], "k": layer.k}
-            )
+            layers.append({"type": "diagonal", **layer.to_dict()})
         else:
             layers.append({"type": "clifford", **layer.to_dict()})
     return {"m": circuit.m, "k": circuit.k, "layers": layers}

@@ -256,6 +256,31 @@ class TestComposition:
         assert payload["symplectic_mod2_ok"] is True
 
 
+class TestStrictIntegers:
+    """Fractional and boolean entries exit 1 instead of being truncated."""
+
+    def test_fractional_form_entry(self, capsys):
+        code, out, err = run(
+            capsys, "add", "--g1", '{"m":1,"k":3,"R":[[1.7]]}', "--g2", '{"m":1,"k":3,"R":[[0]]}'
+        )
+        assert code == 1 and out == ""
+        assert "expected an integer, got 1.7" in err
+
+    def test_fractional_exponent(self, capsys):
+        code, out, err = run(capsys, "synth", '{"k":3,"exponents":[0,1.5]}')
+        assert code == 1 and out == ""
+        assert "expected an integer, got 1.5" in err
+
+    def test_fractional_and_boolean_pauli_entries(self, capsys):
+        gate = '{"m":1,"k":3,"R":[[1]]}'
+        code, out, err = run(capsys, "conjugate", "--gate", gate, "--pauli", '{"a":[1.9],"b":[true]}')
+        assert code == 1 and out == ""
+        assert "expected an integer, got 1.9" in err
+        code, out, err = run(capsys, "conjugate", "--gate", gate, "--pauli", '{"a":[1],"b":[true]}')
+        assert code == 1 and out == ""
+        assert "expected an integer, got True" in err
+
+
 def test_round_trip_synth_of_conjugate_residual(capsys):
     # residual from the conjugation output feeds straight back into synth
     code, out, _ = run(

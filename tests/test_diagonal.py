@@ -12,12 +12,14 @@ from symdiag.diagonal import (
     diagonal_entries,
     enumerate_canonical_forms,
     full_recursion_trace,
+    global_phase_exponent,
     group_add,
     group_negate,
     group_order,
     residual_exponent,
     residual_exponent_consistent,
     residual_exponent_list,
+    residual_form,
     standard_gate_table,
     synthesize,
     tensor,
@@ -46,6 +48,18 @@ class TestSymForm:
     def test_canonicalization(self):
         f = SymForm(((9, 5), (5, -1)), 3)
         assert f.entries == ((1, 1), (1, 7))
+        # the vectorised reduction agrees with the entrywise definition
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            m, k = int(rng.integers(1, 6)), int(rng.integers(0, 7))
+            upper = np.triu(rng.integers(-100, 100, size=(m, m)))
+            raw = (upper + np.triu(upper, 1).T).tolist()
+            want = tuple(
+                tuple(x % (1 << (k if i == j else max(k - 1, 0))) for j, x in enumerate(row))
+                for i, row in enumerate(raw)
+            )
+            assert SymForm(tuple(map(tuple, raw)), k).entries == want
+            assert SymForm.from_matrix(np.array(raw), k).entries == want
 
     def test_symmetry_required(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -150,6 +164,22 @@ class TestResidualExponent:
             b = rng.integers(0, 4, 3)
             v = rng.integers(0, 2, 3)
             assert residual_exponent_consistent(v, form, a, b)
+
+    @pytest.mark.parametrize("m", [64, 256])
+    def test_residual_form_exact_at_large_m(self, m):
+        # the dense sweeps stop at m <= 3: check the mask-built residual form
+        # against the carry formula of residual_exponent at bench sizes
+        rng = np.random.default_rng(m)
+        for k in range(3, 7):
+            upper = np.triu(rng.integers(0, 1 << k, size=(m, m)), 1)
+            form = SymForm.from_matrix(upper + upper.T + np.diag(rng.integers(0, 1 << k, m)), k)
+            a = rng.integers(0, 4, m)
+            b = rng.integers(0, 4, m)
+            phi = global_phase_exponent(form, a, b)
+            R_next = residual_form(form, a).matrix
+            for v in rng.integers(0, 2, size=(8, m)):
+                expected = (phi + 2 * int(v @ R_next @ v)) % (1 << k)
+                assert residual_exponent(v, form, a, b) == expected
 
 
 class TestConjugate:

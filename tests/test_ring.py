@@ -34,12 +34,14 @@ def test_xor_as_ring_length_mismatch():
         ring.xor_as_ring([1, 0], [1], 3)
 
 
-def test_elementwise_product_examples():
-    assert ring.elementwise_product([1, 0], [1, 1]).tolist() == [1, 0]
-    assert ring.elementwise_product([1, 1], [0, 0]).tolist() == [0, 0]
-    assert ring.elementwise_product([1, 1], [1, 1]).tolist() == [1, 1]
-    with pytest.raises(ValueError):
-        ring.elementwise_product([1], [1, 0])
+def test_as_integers_is_strict():
+    assert ring.as_integers(np.eye(2)).tolist() == [[1, 0], [0, 1]]
+    assert ring.as_integers([[2.0, 3]]).dtype == np.int64
+    for bad in ([1.7], [0, True], [[1], [np.True_]], ["1"]):
+        with pytest.raises(ValueError, match="expected an integer"):
+            ring.as_integers(bad)
+    with pytest.raises(ValueError, match="int64 range"):
+        ring.as_integers([2**70])
 
 
 def test_residue_normalizes_negatives():
@@ -72,5 +74,5 @@ def test_xor_matches_bitwise(data, v, k):
 )
 def test_expansion_roundtrip(x, layers):
     parts = ring.binary_expansion(x, layers)
-    back = ring.from_layers(parts)
+    back = sum(p << i for i, p in enumerate(parts))
     assert np.array_equal(back % (1 << layers), np.array(x) % (1 << layers))

@@ -9,18 +9,15 @@ from symdiag.symplectic import (
     apply_gamma,
     apply_symplectic,
     basis_change_generator,
-    gamma_of,
+    gamma_matrix,
     generator_from_dict,
     gf2_inverse,
     hadamard_generator,
-    identity_generator,
     is_binary_symplectic,
     is_permutation_matrix,
     omega,
     partial_hadamard_generator,
     phase_generator,
-    symplectic_from_dict,
-    symplectic_to_dict,
     table1_generators,
 )
 
@@ -34,60 +31,60 @@ def _binary_labels(m):
 
 class TestGamma:
     def test_zero_form_gives_identity(self):
-        gm = gamma_of(SymForm.zeros(2, 3))
-        assert np.array_equal(gm.matrix, np.eye(4, dtype=np.int64))
-        assert gm.symplectic_mod2_ok()
+        gm = gamma_matrix(SymForm.zeros(2, 3))
+        assert np.array_equal(gm, np.eye(4, dtype=np.int64))
+        assert is_binary_symplectic(gm)
 
     def test_t_gate_lift(self):
-        gm = gamma_of(SymForm(((1,),), 3))
-        assert gm.matrix.tolist() == [[1, 1], [0, 1]]
-        assert gm.symplectic_mod2_ok()
+        gm = gamma_matrix(SymForm(((1,),), 3))
+        assert gm.tolist() == [[1, 1], [0, 1]]
+        assert is_binary_symplectic(gm)
 
     def test_cz_lift(self):
-        gm = gamma_of(SymForm(((0, 2), (2, 0)), 3))
-        assert gm.matrix.shape == (4, 4)
-        assert gm.symplectic_mod2_ok()
+        gm = gamma_matrix(SymForm(((0, 2), (2, 0)), 3))
+        assert gm.shape == (4, 4)
+        assert is_binary_symplectic(gm)
 
     def test_every_random_lift_is_symplectic(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             m, k = int(rng.integers(1, 4)), int(rng.integers(1, 6))
-            assert gamma_of(random_canonical_form(rng, m, k)).symplectic_mod2_ok()
+            assert is_binary_symplectic(gamma_matrix(random_canonical_form(rng, m, k)))
 
     def test_composition_matches_group_add(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
             f1 = random_canonical_form(rng, 2, 3)
             f2 = random_canonical_form(rng, 2, 3)
-            product = gamma_of(f1).matrix @ gamma_of(f2).matrix
+            product = gamma_matrix(f1) @ gamma_matrix(f2)
             block = product[:2, 2:]
             assert SymForm.from_matrix(block, 3) == group_add(f1, f2)
 
 
 class TestApplyGamma:
     def test_z_type_unchanged(self):
-        gm = gamma_of(SymForm(((1,),), 3))
-        label, unreduced = apply_gamma(PauliLabel((0,), (1,)), gm)
+        form = SymForm(((1,),), 3)
+        label, unreduced = apply_gamma(PauliLabel((0,), (1,)), form)
         assert label == PauliLabel((0,), (1,))
         assert unreduced.tolist() == [1]
 
     def test_t_gate_x_to_y(self):
-        gm = gamma_of(SymForm(((1,),), 3))
-        label, unreduced = apply_gamma(PauliLabel((1,), (0,)), gm)
+        form = SymForm(((1,),), 3)
+        label, unreduced = apply_gamma(PauliLabel((1,), (0,)), form)
         assert label == PauliLabel((1,), (1,))
         assert unreduced.tolist() == [1]
 
     def test_cz_keeps_carry_in_unreduced_vector(self):
-        gm = gamma_of(SymForm(((0, 2), (2, 0)), 3))
-        label, unreduced = apply_gamma(PauliLabel((1, 0), (0, 0)), gm)
+        form = SymForm(((0, 2), (2, 0)), 3)
+        label, unreduced = apply_gamma(PauliLabel((1, 0), (0, 0)), form)
         # a0 R = [0, 2]: the mod-2 label drops it, the unreduced vector keeps it
         assert label == PauliLabel((1, 0), (0, 0))
         assert unreduced.tolist() == [0, 2]
 
     def test_requires_binary(self):
-        gm = gamma_of(SymForm(((1,),), 3))
+        form = SymForm(((1,),), 3)
         with pytest.raises(ValueError, match="binary"):
-            apply_gamma(PauliLabel((2,), (0,)), gm)
+            apply_gamma(PauliLabel((2,), (0,)), form)
 
 
 class TestGF2:
@@ -146,6 +143,7 @@ class TestGenerators:
             assert is_binary_symplectic(gen.F)
         with pytest.raises(ValueError):
             partial_hadamard_generator(2, 3)
+        assert not is_binary_symplectic(np.array([[1, 1], [1, 1]]))
 
     def test_partial_hadamard_extremes(self):
         full = partial_hadamard_generator(2, 0)
@@ -186,19 +184,6 @@ class TestGenerators:
             assert np.array_equal(rebuilt.F, gen.F)
             assert np.allclose(rebuilt.unitary, gen.unitary)
 
-    def test_identity_generator(self):
-        gen = identity_generator(2)
-        assert np.array_equal(gen.F, np.eye(4, dtype=np.int64))
-        assert np.allclose(gen.unitary, np.eye(4))
-
-
-def test_symplectic_json_round_trip():
-    gen = basis_change_generator(CNOT)
-    back = symplectic_from_dict(symplectic_to_dict(gen.F))
-    assert np.array_equal(back, gen.F)
-    with pytest.raises(ValueError, match="symplectic"):
-        symplectic_from_dict({"F": [[1, 1], [1, 1]]})
-
 
 def test_unreduced_gamma_output_carries_the_conjugation_sign():
     # the second binary layer of b0 + a0 R is exactly the sign folded into
@@ -212,7 +197,7 @@ def test_unreduced_gamma_output_carries_the_conjugation_sign():
         a0 = rng.integers(0, 2, m)
         b0 = rng.integers(0, 2, m)
         label = PauliLabel(tuple(int(x) for x in a0), tuple(int(x) for x in b0))
-        reduced, unreduced = apply_gamma(label, gamma_of(form))
+        reduced, unreduced = apply_gamma(label, form)
         res = conjugate(form, label)
         assert res.label == reduced
         w1 = (unreduced >> 1) & 1

@@ -8,14 +8,12 @@ from symdiag.pauli import PauliLabel
 from symdiag.symplectic import (
     basis_change_generator,
     hadamard_generator,
-    identity_generator,
     partial_hadamard_generator,
     phase_generator,
 )
 from symdiag.tracker import (
     Circuit,
     apply_clifford,
-    apply_clifford_after_diagonal,
     apply_diagonal,
     circuit_dense,
     circuit_from_dict,
@@ -28,6 +26,7 @@ from symdiag.tracker import (
 
 CNOT = np.array([[1, 1], [0, 1]])
 SWAP = np.array([[0, 1], [1, 0]])
+IDENTITY = np.eye(2, dtype=np.int64)
 T_FORM = SymForm(((1,),), 3)
 
 
@@ -54,7 +53,7 @@ class TestApplyClifford:
 
     def test_identity_layer_is_noop(self):
         gens = initial_stabilizer(2, 3)
-        out = apply_clifford(gens, identity_generator(2))
+        out = apply_clifford(gens, basis_change_generator(IDENTITY))
         assert [g.label for g in out] == [g.label for g in gens]
         assert all(g.sign == 1 for g in out)
 
@@ -66,13 +65,6 @@ class TestApplyClifford:
             PauliLabel((0, 0), (1, 1)),
         }
         assert all(g.sign == 1 for g in gens)
-
-    def test_rejects_form_residual(self):
-        gens = apply_diagonal(
-            apply_clifford(initial_stabilizer(1, 3), hadamard_generator(1)), T_FORM
-        )
-        with pytest.raises(ValueError, match="apply_clifford_after_diagonal"):
-            apply_clifford(gens, hadamard_generator(1))
 
 
 class TestApplyDiagonal:
@@ -127,14 +119,14 @@ class TestCliffordAfterDiagonal:
 
     def test_identity_unchanged(self):
         gens, _ = self._live_generator()
-        out = apply_clifford_after_diagonal(gens, identity_generator(2))
+        out = apply_clifford(gens, basis_change_generator(IDENTITY))
         for before, after in zip(gens, out):
             assert after.label == before.label
             assert after.residual == before.residual
 
     def test_permutation_relabels_residual(self):
         gens, _ = self._live_generator()
-        out = apply_clifford_after_diagonal(gens, basis_change_generator(SWAP))
+        out = apply_clifford(gens, basis_change_generator(SWAP))
         for g in out:
             assert isinstance(g.residual, (SymForm, type(None)))
         circuit = Circuit(
@@ -147,13 +139,13 @@ class TestCliffordAfterDiagonal:
     def test_phase_layer_keeps_residual(self):
         gens, _ = self._live_generator()
         layer = phase_generator(np.array([[1, 1], [1, 0]]))
-        out = apply_clifford_after_diagonal(gens, layer)
+        out = apply_clifford(gens, layer)
         for before, after in zip(gens, out):
             assert after.residual == before.residual
 
     def test_cnot_on_level2_residual_stays_symbolic(self):
         gens, _ = self._live_generator()
-        out = apply_clifford_after_diagonal(gens, basis_change_generator(CNOT))
+        out = apply_clifford(gens, basis_change_generator(CNOT))
         assert all(isinstance(g.residual, (SymForm, type(None))) for g in out)
         circuit = Circuit(
             2,
@@ -164,7 +156,7 @@ class TestCliffordAfterDiagonal:
 
     def test_hadamard_goes_opaque_but_exact(self):
         gens, _ = self._live_generator()
-        out = apply_clifford_after_diagonal(gens, hadamard_generator(2))
+        out = apply_clifford(gens, hadamard_generator(2))
         assert any(g.is_opaque() for g in out if g.residual is not None)
         circuit = Circuit(
             2,
@@ -179,7 +171,7 @@ class TestCliffordAfterDiagonal:
         gens = apply_clifford(initial_stabilizer(2, 4), hadamard_generator(2))
         form = SymForm(((1, 2), (2, 1)), 4)
         live = apply_diagonal(gens, form)
-        out = apply_clifford_after_diagonal(live, basis_change_generator(CNOT))
+        out = apply_clifford(live, basis_change_generator(CNOT))
         assert any(g.is_opaque() for g in out)
         circuit = Circuit(2, 4, [hadamard_generator(2), form, basis_change_generator(CNOT)])
         assert verify_against_oracle(circuit)["ok"]
