@@ -60,7 +60,7 @@ def _emit(obj) -> None:
     print(json.dumps(obj))
 
 
-def _exponents_from_diagonal(diag, k_hint: int) -> tuple[int, list[int], complex]:
+def _exponents_from_diagonal(diag, k_hint: int) -> tuple[int, np.ndarray, complex]:
     """Match complex diagonal entries to powers of exp(2*pi*i/2^k).
 
     Escalates k from k_hint until every entry matches within tolerance or
@@ -70,22 +70,16 @@ def _exponents_from_diagonal(diag, k_hint: int) -> tuple[int, list[int], complex
     values = [complex(z[0], z[1]) if isinstance(z, (list, tuple)) else complex(z) for z in diag]
     if not values:
         raise CLIError("diagonal payload is empty")
-    for z in values:
-        if abs(abs(z) - 1.0) > PHASE_MATCH_TOL:
-            raise CLIError(f"diagonal entry {z} does not have unit modulus")
+    z = np.array(values, dtype=complex)
+    off_circle = np.flatnonzero(~(np.abs(np.abs(z) - 1.0) <= PHASE_MATCH_TOL))
+    if len(off_circle):
+        raise CLIError(f"diagonal entry {values[off_circle[0]]} does not have unit modulus")
     phase0 = values[0]
-    normalized = [z / phase0 for z in values]
+    z /= phase0
+    angle = np.arctan2(z.imag, z.real) % (2 * math.pi)
     for k in range(max(k_hint, 1), PHASE_MATCH_CAP + 1):
-        step = 2 * math.pi / (1 << k)
-        exps = []
-        ok = True
-        for z in normalized:
-            e = int(round((math.atan2(z.imag, z.real) % (2 * math.pi)) / step)) % (1 << k)
-            if abs(z - np.exp(2j * math.pi * e / (1 << k))) > PHASE_MATCH_TOL:
-                ok = False
-                break
-            exps.append(e)
-        if ok:
+        exps = np.rint(angle / (2 * math.pi / (1 << k))).astype(np.int64) % (1 << k)
+        if np.all(np.abs(z - np.exp(2j * math.pi * exps / (1 << k))) <= PHASE_MATCH_TOL):
             return k, exps, phase0
     raise CLIError(
         f"diagonal phases do not match 2^k-th roots of unity for any k <= {PHASE_MATCH_CAP}"

@@ -159,10 +159,26 @@ def basis_index(v) -> int:
 
 
 def diagonal_entries(form: SymForm) -> np.ndarray:
-    """Exponent list [v R v^T mod 2^k] over all basis vectors in index order."""
-    V = index_vectors(form.m)
-    vals = np.einsum("ij,jk,ik->i", V, form.matrix, V)
-    return vals % ring.modulus(form.k)
+    """Exponent list [v R v^T mod 2^k] over all basis vectors in index order.
+
+    Doubles over bits in O(2^m) time and memory: with v = (v_i, w) for
+    the suffix w = (v_(i+1), ..., v_(m-1)), q(v) = q(w) + v_i lin(w), where
+    lin(w) = R_ii + 2 w . R[i, i+1:] is itself built by doubling.  Sums
+    wrap modulo 2^64 in int64, which 2^k divides, so reducing once at the
+    end is exact.
+    """
+    m, R = form.m, form.matrix
+    out = np.zeros(1 << m, dtype=np.int64)
+    lin = np.empty(1 << max(m - 1, 0), dtype=np.int64)
+    for i in range(m - 1, -1, -1):
+        n = 1 << (m - 1 - i)
+        lin[0] = R[i, i]
+        for t in range(m - 1, i, -1):
+            s = 1 << (m - 1 - t)
+            np.add(lin[:s], 2 * R[i, t], out=lin[s : 2 * s])
+        np.add(out[:n], lin[:n], out=out[n : 2 * n])
+    out %= ring.modulus(form.k)
+    return out
 
 
 def xor_carry(v, form: SymForm, w) -> int:
@@ -371,7 +387,6 @@ def synthesize(exponents, k_hint: int) -> SymForm:
         raise ValueError(f"exponent list length {n} is not a power of two >= 2")
     m = n.bit_length() - 1
     k = ring.check_level(k_hint)
-    e = e % (1 << k)
     e = (e - e[0]) % (1 << k)
     for _ in range(2):
         R = _solve_weightwise(e, m, k)
@@ -380,10 +395,11 @@ def synthesize(exponents, k_hint: int) -> SymForm:
             e = (2 * e) % (1 << k)
             continue
         form = SymForm.from_matrix(R, k)
-        mismatch = np.nonzero((diagonal_entries(form) - e) % (1 << k))[0]
-        if len(mismatch):
-            v = index_vectors(m)[mismatch[0]]
-            raise InfeasibleDiagonalError(tuple(int(x) for x in v), k)
+        bad = diagonal_entries(form) != e
+        first = int(np.argmax(bad))
+        if bad[first]:
+            witness = tuple((first >> (m - 1 - i)) & 1 for i in range(m))
+            raise InfeasibleDiagonalError(witness, k)
         return form
     raise AssertionError("unreachable: one doubling always fixes parity")
 

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import ring
-from .diagonal import SymForm, basis_index, diagonal_entries, index_vectors
+from .diagonal import SymForm, basis_index, index_vectors
 from .pauli import PauliLabel
 
 #: tolerance for membership-style tests (hierarchy levels, sign resolution)
@@ -62,8 +62,10 @@ def dense_diagonal(form: SymForm) -> np.ndarray:
     _check_dense_m(form.m)
     if form.k == 0:
         return np.eye(1 << form.m, dtype=complex)
-    exps = diagonal_entries(form)
-    return np.diag(np.exp(2j * math.pi * exps / ring.modulus(form.k)))
+    M = ring.modulus(form.k)
+    V = index_vectors(form.m)
+    exps = np.einsum("ij,jk,ik->i", V, form.matrix, V) % M
+    return np.diag(np.exp(2j * math.pi * exps / M))
 
 
 def conjugate_dense(u: np.ndarray, p: np.ndarray) -> np.ndarray:

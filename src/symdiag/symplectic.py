@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ring
-from .diagonal import SymForm, _label_step, basis_index, index_vectors
+from .diagonal import SymForm, _label_step, index_vectors
 from .oracle import dense_diagonal
 from .pauli import PauliLabel
 
@@ -141,10 +141,9 @@ def basis_change_generator(Q) -> CliffordGen:
     F[:m, :m] = Q
     F[m:, m:] = Qinv.T
     n = 1 << m
-    V = index_vectors(m)
+    weights = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
     dense = np.zeros((n, n), dtype=complex)
-    for col in range(n):
-        dense[basis_index(V[col] @ Q % 2), col] = 1.0
+    dense[(index_vectors(m) @ Q % 2) @ weights, np.arange(n)] = 1.0
     return CliffordGen("L_Q", F, dense, {"Q": Q})
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 from symdiag.cli import main
 
@@ -43,6 +44,35 @@ class TestSynth:
         assert code == 0
         payload = json.loads(out)
         assert (payload["k"], payload["R"]) == (3, [[1]])
+
+    def test_complex_diagonal_escalates_above_k_hint(self, capsys):
+        # R = [[1, 1], [1, 3]] at k = 4 has exponents [0, 3, 1, 6] / 16
+        diag = [[math.cos(math.pi * e / 8), math.sin(math.pi * e / 8)] for e in (0, 3, 1, 6)]
+        code, out, _ = run(capsys, "synth", json.dumps({"k": 2, "diagonal": diag}))
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["k"], payload["R"]) == (4, [[1, 1], [1, 3]])
+
+    def test_complex_diagonal_non_unit_entry(self, capsys):
+        diag = [[1, 0], [0, 1], [0.5, 0], [2, 0]]
+        code, _, err = run(capsys, "synth", json.dumps({"diagonal": diag}))
+        assert code == 1
+        assert "diagonal entry (0.5+0j) does not have unit modulus" in err
+        code, _, err = run(capsys, "synth", '{"diagonal":[[1,0],[NaN,0]]}')
+        assert code == 1 and "does not have unit modulus" in err
+
+    def test_complex_diagonal_no_root_of_unity(self, capsys):
+        third = [math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3)]
+        code, _, err = run(capsys, "synth", json.dumps({"diagonal": [[1, 0], third]}))
+        assert code == 1
+        assert "diagonal phases do not match 2^k-th roots of unity for any k <= 12" in err
+
+    def test_complex_diagonal_mixed_pairs_and_numbers(self, capsys):
+        code, out, _ = run(capsys, "synth", '{"diagonal":[1,[0,1],[0,1],-1]}')
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["k"], payload["R"]) == (2, [[1, 0], [0, 1]])
+        assert payload["global_phase"] == [1.0, 0.0]
 
     def test_malformed_inputs(self, capsys):
         code, _, err = run(capsys, "synth", "{bad json")

@@ -16,6 +16,7 @@ from symdiag.diagonal import (
     group_add,
     group_negate,
     group_order,
+    index_vectors,
     residual_exponent,
     residual_exponent_consistent,
     residual_exponent_list,
@@ -98,6 +99,35 @@ class TestDiagonalEntries:
 
     def test_zero_form(self):
         assert diagonal_entries(SymForm.zeros(3, 4)).tolist() == [0] * 8
+
+    @staticmethod
+    def _direct(form):
+        R = form.matrix
+        return [int(v @ R @ v) % (1 << form.k) for v in index_vectors(form.m)]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6, 16])
+    def test_matches_direct_evaluation_random(self, k):
+        rng = np.random.default_rng(100 + k)
+        for m in range(1, 9):
+            for _ in range(3):
+                form = random_canonical_form(rng, m, k)
+                assert diagonal_entries(form).tolist() == self._direct(form)
+
+    def test_matches_direct_evaluation_exhaustive(self):
+        for m in (1, 2, 3):
+            for k in (1, 2, 3):
+                for form in enumerate_canonical_forms(m, k):
+                    assert diagonal_entries(form).tolist() == self._direct(form)
+
+    def test_sampled_entries_at_m20(self):
+        m, k = 20, 5
+        rng = np.random.default_rng(20)
+        form = random_canonical_form(rng, m, k)
+        exps = diagonal_entries(form)
+        assert exps.shape == (1 << m,) and exps.dtype == np.int64
+        for idx in rng.integers(0, 1 << m, size=64).tolist():
+            v = np.array([int(c) for c in np.binary_repr(idx, width=m)])
+            assert exps[idx] == int(v @ form.matrix @ v) % (1 << k)
 
 
 class TestXorCarry:
@@ -317,6 +347,19 @@ class TestSynthesize:
         with pytest.raises(InfeasibleDiagonalError) as err:
             synthesize([0, 0, 0, 0, 0, 0, 0, 4], 3)
         assert err.value.witness == (1, 1, 1)
+
+    def test_witness_is_first_mismatch_at_m20(self):
+        m, k = 20, 4
+        rng = np.random.default_rng(21)
+        exps = diagonal_entries(random_canonical_form(rng, m, k))
+        # perturb two entries of weight >= 3, which the solve never reads
+        heavy = [i for i in rng.integers(0, 1 << m, size=64).tolist() if bin(i).count("1") >= 3]
+        first, second = sorted(set(heavy))[:2]
+        exps[[first, second]] = (exps[[first, second]] + 1) % (1 << k)
+        with pytest.raises(InfeasibleDiagonalError) as err:
+            synthesize(exps, k)
+        assert err.value.witness == tuple(int(c) for c in np.binary_repr(first, width=m))
+        assert err.value.level == k
 
     def test_all_zero_exponents(self):
         assert synthesize([0, 0], 1) == SymForm.zeros(1, 1)
