@@ -60,7 +60,7 @@ def random_canonical_form(rng: np.random.Generator, m: int, k: int) -> SymForm:
         mat[i, i] = rng.integers(0, 1 << k)
         for j in range(i + 1, m):
             mat[i, j] = mat[j, i] = rng.integers(0, 1 << max(k - 1, 0))
-    return SymForm.from_matrix(mat, k)
+    return SymForm(mat, k)
 
 
 def random_int_vector(rng: np.random.Generator, m: int, layers: int = 2) -> np.ndarray:
@@ -69,8 +69,7 @@ def random_int_vector(rng: np.random.Generator, m: int, layers: int = 2) -> np.n
 
 def _binary_pairs(m: int):
     V = index_vectors(m)
-    vecs = [tuple(int(x) for x in row) for row in V]
-    return [(a, b) for a in vecs for b in vecs]
+    return [(a, b) for a in V for b in V]
 
 
 def _xi(k: int) -> complex:
@@ -115,7 +114,7 @@ def check_conjugation_exactness(
                     False,
                     checked,
                     max_dev,
-                    {"R": [list(r) for r in form.entries], "a": list(a), "b": list(b)},
+                    {"R": form.entries.tolist(), "a": a.tolist(), "b": b.tolist()},
                 )
     return CheckResult(f"conjugation-exactness(m={m},k={k})", True, checked, max_dev)
 
@@ -129,7 +128,7 @@ def check_xor_quadratic_identity(
     checked = 0
     for _ in range(samples):
         form = random_canonical_form(rng, m, k)
-        R = form.matrix
+        R = form.entries
         v = rng.integers(0, 2, size=m, dtype=np.int64)
         w = rng.integers(0, 2, size=m, dtype=np.int64)
         x = ring.xor_as_ring(v, w, k)
@@ -146,7 +145,7 @@ def check_xor_quadratic_identity(
                 False,
                 checked,
                 1.0,
-                {"v": v.tolist(), "w": w.tolist(), "R": form.entries},
+                {"v": v.tolist(), "w": w.tolist(), "R": form.entries.tolist()},
             )
     return CheckResult("xor-quadratic-identity", True, checked)
 
@@ -157,7 +156,7 @@ def check_level2_exponents_vanish(m: int) -> CheckResult:
     checked = 0
     for form in enumerate_canonical_forms(m, 2):
         for a, b in _binary_pairs(m):
-            vals = residual_exponent_list(form, np.array(a), np.array(b))
+            vals = residual_exponent_list(form, a, b)
             checked += len(vals)
             if np.any(vals % 4):
                 return CheckResult(
@@ -165,7 +164,7 @@ def check_level2_exponents_vanish(m: int) -> CheckResult:
                     False,
                     checked,
                     float(np.max(vals % 4)),
-                    {"R": form.entries, "a": a, "b": b},
+                    {"R": form.entries.tolist(), "a": a.tolist(), "b": b.tolist()},
                 )
     return CheckResult(f"level2-exponents-vanish(m={m})", True, checked)
 
@@ -211,7 +210,7 @@ def check_exponent_shift_additivity(
                 False,
                 checked,
                 1.0,
-                {"R": form.entries, "a": a.tolist(), "b": b.tolist(),
+                {"R": form.entries.tolist(), "a": a.tolist(), "b": b.tolist(),
                  "c": c.tolist(), "d": d.tolist()},
             )
     return CheckResult("exponent-shift-additivity", True, checked)
@@ -245,7 +244,7 @@ def check_exponent_shift_additivity_carry_free(
                 False,
                 checked,
                 1.0,
-                {"R": form.entries, "a": a.tolist(), "b": b.tolist(),
+                {"R": form.entries.tolist(), "a": a.tolist(), "b": b.tolist(),
                  "c": c.tolist(), "d": d.tolist()},
             )
     return CheckResult("exponent-shift-additivity-carry-free", True, checked)
@@ -276,7 +275,7 @@ def check_shift_difference_symmetry(
                 False,
                 checked,
                 1.0,
-                {"R": form.entries, "a": a.tolist(), "c": c.tolist()},
+                {"R": form.entries.tolist(), "a": a.tolist(), "c": c.tolist()},
             )
     return CheckResult("shift-difference-symmetry", True, checked)
 
@@ -296,7 +295,7 @@ def check_exponent_conjugation_shift(
         shifted = _shifted(vals, m, e & 1)
         xi = _xi(k)
         diag = np.diag(xi ** vals.astype(complex))
-        ep = dense_pauli(PauliLabel(tuple(e), tuple(f)))
+        ep = dense_pauli(PauliLabel(e, f))
         dev = float(np.max(np.abs(ep @ diag @ ep - np.diag(xi ** shifted.astype(complex)))))
         max_dev = max(max_dev, dev)
         checked += 1
@@ -306,7 +305,7 @@ def check_exponent_conjugation_shift(
                 False,
                 checked,
                 max_dev,
-                {"R": form.entries, "e": e.tolist(), "f": f.tolist()},
+                {"R": form.entries.tolist(), "e": e.tolist(), "f": f.tolist()},
             )
     return CheckResult("exponent-conjugation-shift", True, checked, max_dev)
 
@@ -325,13 +324,13 @@ def check_sandwich_product_identity(
         c, d = random_int_vector(rng, m), random_int_vector(rng, m)
         a0, b0 = a & 1, b & 1
         c0, d0 = c & 1, d & 1
-        _, e = apply_gamma(PauliLabel(tuple(a0), tuple(b0)), form)
-        _, f = apply_gamma(PauliLabel(tuple(c0), tuple(d0)), form)
-        conj_ab = conjugate_dense(u, dense_pauli(PauliLabel(tuple(a), tuple(b))))
-        conj_cd = conjugate_dense(u, dense_pauli(PauliLabel(tuple(c), tuple(d))))
+        _, e = apply_gamma(PauliLabel(a0, b0), form)
+        _, f = apply_gamma(PauliLabel(c0, d0), form)
+        conj_ab = conjugate_dense(u, dense_pauli(PauliLabel(a, b)))
+        conj_cd = conjugate_dense(u, dense_pauli(PauliLabel(c, d)))
         lhs = conj_cd @ conj_ab
-        pa = dense_pauli(PauliLabel(tuple(a0), tuple(e)))
-        pc = dense_pauli(PauliLabel(tuple(c0), tuple(f)))
+        pa = dense_pauli(PauliLabel(a0, e))
+        pc = dense_pauli(PauliLabel(c0, f))
         rhs = (pa @ conj_cd @ pa) @ (pc @ conj_ab @ pc)
         dev = float(np.max(np.abs(lhs - rhs)))
         max_dev = max(max_dev, dev)
@@ -342,7 +341,7 @@ def check_sandwich_product_identity(
                 False,
                 checked,
                 max_dev,
-                {"R": form.entries, "a": a.tolist(), "b": b.tolist(),
+                {"R": form.entries.tolist(), "a": a.tolist(), "b": b.tolist(),
                  "c": c.tolist(), "d": d.tolist()},
             )
     return CheckResult("sandwich-product-identity", True, checked, max_dev)
@@ -357,8 +356,8 @@ def check_conjugation_homomorphism(
     max_dev = 0.0
     for _ in range(samples):
         form = random_canonical_form(rng, m, k)
-        p = PauliLabel(tuple(random_int_vector(rng, m)), tuple(random_int_vector(rng, m)))
-        q = PauliLabel(tuple(random_int_vector(rng, m)), tuple(random_int_vector(rng, m)))
+        p = PauliLabel(random_int_vector(rng, m), random_int_vector(rng, m))
+        q = PauliLabel(random_int_vector(rng, m), random_int_vector(rng, m))
         prod = multiply(p, q)
         lhs = prod.phase * reconstruct_dense(form, prod.label)
         rhs = reconstruct_dense(form, p) @ reconstruct_dense(form, q)
@@ -371,7 +370,7 @@ def check_conjugation_homomorphism(
                 False,
                 checked,
                 max_dev,
-                {"R": form.entries, "p": p.to_dict(), "q": q.to_dict()},
+                {"R": form.entries.tolist(), "p": p.to_dict(), "q": q.to_dict()},
             )
     return CheckResult("conjugation-homomorphism", True, checked, max_dev)
 
@@ -388,7 +387,7 @@ def check_hierarchy_membership(m: int, k: int) -> CheckResult:
                 False,
                 checked,
                 1.0,
-                {"R": form.entries, "level": level},
+                {"R": form.entries.tolist(), "level": level},
             )
     return CheckResult(f"hierarchy-membership(m={m},k={k})", True, checked)
 
@@ -406,9 +405,9 @@ def check_entry_list_injectivity(m: int, k: int) -> CheckResult:
                 False,
                 checked,
                 1.0,
-                {"R1": seen[key], "R2": form.entries},
+                {"R1": seen[key], "R2": form.entries.tolist()},
             )
-        seen[key] = form.entries
+        seen[key] = form.entries.tolist()
     expected = group_order(m, k)
     ok = len(seen) == expected
     return CheckResult(
@@ -438,9 +437,8 @@ def check_group_axioms(
         )
         checked += 1
         if not ok:
-            return CheckResult(
-                "group-axioms", False, checked, 1.0, {"f": f.entries, "g": g.entries}
-            )
+            detail = {"f": f.entries.tolist(), "g": g.entries.tolist()}
+            return CheckResult("group-axioms", False, checked, 1.0, detail)
     return CheckResult("group-axioms", True, checked)
 
 
@@ -462,7 +460,7 @@ def check_synthesis_roundtrip(
                 False,
                 checked,
                 1.0,
-                {"R": form.entries, "back": back.entries, "k_back": back.k},
+                {"R": form.entries.tolist(), "back": back.entries.tolist(), "k_back": back.k},
             )
     return CheckResult(f"synthesis-roundtrip(m={m},k={k})", True, checked)
 
@@ -492,7 +490,7 @@ def check_tensor_consistency(
                 False,
                 checked,
                 max_dev,
-                {"R1": f1.entries, "k1": f1.k, "R2": f2.entries, "k2": f2.k},
+                {"R1": f1.entries.tolist(), "k1": f1.k, "R2": f2.entries.tolist(), "k2": f2.k},
             )
     return CheckResult("tensor-consistency", True, checked, max_dev)
 

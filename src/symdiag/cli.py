@@ -9,6 +9,7 @@ stdin.  Exit codes: 0 success, 1 malformed input or failed verification,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -109,7 +110,7 @@ def cmd_synth(args) -> int:
     except InfeasibleDiagonalError as exc:
         _emit({"infeasible": True, "witness": list(exc.witness), "level": exc.level, **out})
         return 2
-    _emit({"k": form.k, "R": [list(r) for r in form.entries], **out})
+    _emit({"k": form.k, "R": form.entries.tolist(), **out})
     return 0
 
 
@@ -138,7 +139,7 @@ def cmd_table(args) -> int:
             {
                 "name": name,
                 "k": form.k,
-                "R": [list(r) for r in form.entries],
+                "R": form.entries.tolist(),
                 "exponents": exps.tolist(),
                 "diagonal": [[round(z.real, 12), round(z.imag, 12)] for z in diag],
             }
@@ -231,7 +232,9 @@ def cmd_gamma(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The shared parser, built once per process; callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="symdiag",
         description="Exact symmetric-matrix calculus for diagonal gates over Z_{2^k}.",

@@ -23,7 +23,7 @@ from . import ring
 from .pauli import PauliLabel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymForm:
     """Symmetric matrix over Z_{2^k} in mixed-modulus canonical form.
 
@@ -31,10 +31,11 @@ class SymForm:
     factor 2 inside v R v^T, so only their residue mod 2^(k-1) matters and
     they are reduced to [0, 2^(k-1)) on construction.  Negative inputs are
     normalized the same way.  Level k = 0 means the empty form: the gate
-    is the identity regardless of entries.
+    is the identity regardless of entries.  The canonical matrix is stored
+    as a read-only int64 array, never a view of the input.
     """
 
-    entries: tuple[tuple[int, ...], ...]
+    entries: np.ndarray
     k: int
 
     def __post_init__(self):
@@ -50,8 +51,16 @@ class SymForm:
             raise ValueError(f"matrix not symmetric at ({i},{j})")
         canon = mat % ring.modulus(max(k - 1, 0))
         np.fill_diagonal(canon, mat.diagonal() % ring.modulus(k))
-        object.__setattr__(self, "entries", tuple(map(tuple, canon.tolist())))
+        canon.flags.writeable = False
+        object.__setattr__(self, "entries", canon)
         object.__setattr__(self, "k", k)
+
+    def __eq__(self, other):
+        same_k = isinstance(other, SymForm) and self.k == other.k
+        return same_k and np.array_equal(self.entries, other.entries)
+
+    def __hash__(self):
+        return hash((self.k, self.entries.tobytes()))
 
     @classmethod
     def zeros(cls, m: int, k: int) -> "SymForm":
@@ -59,41 +68,34 @@ class SymForm:
 
     @classmethod
     def from_matrix(cls, mat, k: int) -> "SymForm":
-        return cls(np.atleast_2d(ring.as_integers(mat)), k)
+        """Same as SymForm(mat, k); bench/workloads.py still calls it."""
+        return cls(mat, k)
 
     @property
     def m(self) -> int:
         return len(self.entries)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array(self.entries, dtype=np.int64).reshape(self.m, self.m)
-
-    @property
-    def diag(self) -> np.ndarray:
-        return np.array([self.entries[i][i] for i in range(self.m)], dtype=np.int64)
-
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not self.entries.any()
 
     def z_pauli_label(self) -> PauliLabel:
         """A level-1 form is the Z-type Pauli E(0, diagonal of R)."""
         if self.k != 1:
             raise ValueError(f"level-{self.k} forms are not Pauli gates")
-        return PauliLabel((0,) * self.m, tuple(int(x) for x in self.diag))
+        return PauliLabel(np.zeros(self.m, dtype=np.int64), self.entries.diagonal())
 
     def to_dict(self) -> dict:
-        return {"m": self.m, "k": self.k, "R": [list(row) for row in self.entries]}
+        return {"m": self.m, "k": self.k, "R": self.entries.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SymForm":
-        form = cls(tuple(tuple(row) for row in d["R"]), d["k"])
+        form = cls(d["R"], d["k"])
         if "m" in d and d["m"] != form.m:
             raise ValueError(f"declared m={d['m']} but R is {form.m}x{form.m}")
         return form
 
     def __str__(self) -> str:
-        return f"SymForm(k={self.k}, R={[list(r) for r in self.entries]})"
+        return f"SymForm(k={self.k}, R={self.entries.tolist()})"
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,7 @@ class ConjugationResult:
         return {
             "phi": self.phase_exponent,
             "label": self.label.to_dict(),
-            "R_tilde": [list(row) for row in self.residual.entries],
+            "R_tilde": self.residual.entries.tolist(),
             "k_next": self.residual.k,
         }
 
@@ -167,7 +169,7 @@ def diagonal_entries(form: SymForm) -> np.ndarray:
     wrap modulo 2^64 in int64, which 2^k divides, so reducing once at the
     end is exact.
     """
-    m, R = form.m, form.matrix
+    m, R = form.m, form.entries
     out = np.zeros(1 << m, dtype=np.int64)
     lin = np.empty(1 << max(m - 1, 0), dtype=np.int64)
     for i in range(m - 1, -1, -1):
@@ -194,7 +196,7 @@ def xor_carry(v, form: SymForm, w) -> int:
     if len(v) != form.m:
         raise ValueError(f"length mismatch: vectors of {len(v)} vs form on {form.m}")
     meet = v * w
-    return int(((v + w) - meet) @ form.matrix @ meet) % ring.modulus(form.k)
+    return int(((v + w) - meet) @ form.entries @ meet) % ring.modulus(form.k)
 
 
 def _label_layers(form: SymForm, a, b):
@@ -219,7 +221,7 @@ def _residual_exponents(V: np.ndarray, form: SymForm, a, b) -> np.ndarray:
         raise ValueError("residual exponent needs level k >= 2")
     phi = global_phase_exponent(form, a, b)
     a0 = ring.as_int_vector(a) & 1
-    R = form.matrix
+    R = form.entries
     meet = V * a0
     carry = np.einsum("ij,jk,ik->i", V + a0 - meet, R, meet)
     vals = phi + (2 + (1 << (k - 1))) * (V @ (R @ a0)) - 4 * carry
@@ -245,7 +247,7 @@ def global_phase_exponent(form: SymForm, a, b) -> int:
     if k < 2:
         raise ValueError("global phase exponent needs level k >= 2")
     a0, a1, b0, b1 = _label_layers(form, a, b)
-    R = form.matrix
+    R = form.entries
     val = (1 - (1 << (k - 2))) * int(a0 @ R @ a0) + (1 << (k - 1)) * (
         int(a0 @ b1) + int(b0 @ a1)
     )
@@ -256,7 +258,7 @@ def _label_step(form: SymForm, a0: np.ndarray, b0: np.ndarray) -> np.ndarray:
     """Unreduced label b0 + a0 R (mod 2^max(k, 1)) of the row action
     [a0, b0] Gamma(R); its second binary layer is the sign that reducing
     the label mod 2 folds into the conjugation phase."""
-    return (b0 + a0 @ form.matrix) % ring.modulus(max(form.k, 1))
+    return (b0 + a0 @ form.entries) % ring.modulus(max(form.k, 1))
 
 
 def residual_form(form: SymForm, a) -> SymForm:
@@ -272,10 +274,10 @@ def residual_form(form: SymForm, a) -> SymForm:
     a0 = ring.as_int_vector(a) & 1
     if len(a0) != form.m:
         raise ValueError(f"length mismatch: vector of {len(a0)} vs form on {form.m}")
-    R = form.matrix
+    R = form.entries
     raw = -R * (a0[:, None] ^ a0[None, :])
     np.fill_diagonal(raw, ((1 + (1 << (k - 2))) - 2 * a0) * (a0 @ R))
-    return SymForm.from_matrix(raw, k - 1)
+    return SymForm(raw, k - 1)
 
 
 def conjugate(form: SymForm, p: PauliLabel) -> ConjugationResult:
@@ -295,18 +297,18 @@ def conjugate(form: SymForm, p: PauliLabel) -> ConjugationResult:
     k = form.k
     if k < 1:
         raise ValueError("conjugation needs level k >= 1")
-    a0, a1, b0, b1 = _label_layers(form, p.a_vec, p.b_vec)
+    a0, a1, b0, b1 = _label_layers(form, p.a, p.b)
     if k == 1:
-        d = form.diag
+        d = form.entries.diagonal()
         phi = (int(a0 @ d) + int(a0 @ b1) + int(a1 @ b0)) % 2
-        label = PauliLabel(tuple(a0), tuple(b0))
+        label = PauliLabel(a0, b0)
         return ConjugationResult(1, phi, label, SymForm.zeros(form.m, 0))
     M = ring.modulus(k)
-    phi = global_phase_exponent(form, p.a_vec, p.b_vec)
+    phi = global_phase_exponent(form, p.a, p.b)
     w = _label_step(form, a0, b0)
     phi = (phi + (1 << (k - 1)) * int(a0 @ ((w >> 1) & 1))) % M
-    label = PauliLabel(tuple(a0), tuple(w & 1))
-    return ConjugationResult(k, phi, label, residual_form(form, p.a_vec))
+    label = PauliLabel(a0, w & 1)
+    return ConjugationResult(k, phi, label, residual_form(form, p.a))
 
 
 def residual_exponent_consistent(v, form: SymForm, a, b) -> bool:
@@ -316,7 +318,7 @@ def residual_exponent_consistent(v, form: SymForm, a, b) -> bool:
     phi = global_phase_exponent(form, a, b)
     rt = residual_form(form, a)
     v = ring.as_bit_vector(v)
-    rhs = (phi + 2 * int(v @ rt.matrix @ v)) % ring.modulus(k)
+    rhs = (phi + 2 * int(v @ rt.entries @ v)) % ring.modulus(k)
     return q == rhs
 
 
@@ -347,9 +349,9 @@ def tensor(f1: SymForm, f2: SymForm) -> SymForm:
     m, n = f1.m, f2.m
     scale = 1 << (f1.k - f2.k)
     out = np.zeros((m + n, m + n), dtype=np.int64)
-    out[:m, :m] = f1.matrix
-    out[m:, m:] = scale * f2.matrix
-    return SymForm.from_matrix(out, f1.k)
+    out[:m, :m] = f1.entries
+    out[m:, m:] = scale * f2.entries
+    return SymForm(out, f1.k)
 
 
 def _solve_weightwise(e: np.ndarray, m: int, k: int) -> np.ndarray | None:
@@ -394,7 +396,7 @@ def synthesize(exponents, k_hint: int) -> SymForm:
             k = ring.check_level(k + 1)
             e = (2 * e) % (1 << k)
             continue
-        form = SymForm.from_matrix(R, k)
+        form = SymForm(R, k)
         bad = diagonal_entries(form) != e
         first = int(np.argmax(bad))
         if bad[first]:
@@ -410,12 +412,12 @@ def group_add(f1: SymForm, f2: SymForm) -> SymForm:
         raise ValueError(
             f"mismatched forms: (m={f1.m}, k={f1.k}) vs (m={f2.m}, k={f2.k})"
         )
-    return SymForm.from_matrix(f1.matrix + f2.matrix, f1.k)
+    return SymForm(f1.entries + f2.entries, f1.k)
 
 
 def group_negate(f: SymForm) -> SymForm:
     """Inverse element for group_add."""
-    return SymForm.from_matrix(-f.matrix, f.k)
+    return SymForm(-f.entries, f.k)
 
 
 def group_order(m: int, k: int) -> int:
@@ -439,7 +441,7 @@ def enumerate_canonical_forms(m: int, k: int):
                 mat[i, i] = diag[i]
             for (i, j), val in zip(pairs, off):
                 mat[i, j] = mat[j, i] = val
-            yield SymForm.from_matrix(mat, k)
+            yield SymForm(mat, k)
 
 
 def ccz_companion() -> SymForm:
@@ -449,8 +451,7 @@ def ccz_companion() -> SymForm:
     entries -3 = 5 (mod 8) reduce to 1 in canonical form without changing
     the gate.
     """
-    raw = [[7, 5, 5], [5, 7, 5], [5, 5, 7]]
-    return SymForm.from_matrix(np.array(raw), 3)
+    return SymForm([[7, 5, 5], [5, 7, 5], [5, 5, 7]], 3)
 
 
 def standard_gate_table() -> list[tuple[str, SymForm]]:
@@ -475,6 +476,6 @@ def standard_gate_table() -> list[tuple[str, SymForm]]:
         ("PxI", [[2, 0], [0, 0]]),
         ("ZxI", [[4, 0], [0, 0]]),
     ]
-    table = [(name, SymForm.from_matrix(np.array([[val]]), 3)) for name, val in single]
-    table += [(name, SymForm.from_matrix(np.array(mat), 3)) for name, mat in two]
+    table = [(name, SymForm([[val]], 3)) for name, val in single]
+    table += [(name, SymForm(mat, 3)) for name, mat in two]
     return table

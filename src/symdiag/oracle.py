@@ -26,6 +26,8 @@ ENTRY_ATOL = 1e-12
 MAX_DENSE_QUBITS = 4
 #: cost guard for the hierarchy level decision
 MAX_LEVEL_QUBITS = 2
+#: highest level the generator recursion of hierarchy_level decides exactly
+MAX_EXACT_LEVEL = 3
 
 
 def _check_dense_m(m: int, guard: int = MAX_DENSE_QUBITS) -> int:
@@ -52,7 +54,7 @@ def _dense_xz(a0: np.ndarray, b0: np.ndarray) -> np.ndarray:
 def dense_pauli(p: PauliLabel) -> np.ndarray:
     """Dense Hermitian Pauli E(a, b) with its i^(a.b mod 4) prefactor."""
     _check_dense_m(p.m)
-    a, b = p.a_vec, p.b_vec
+    a, b = p.a, p.b
     phase = 1j ** (int(a @ b) % 4)
     return phase * _dense_xz(a & 1, b & 1)
 
@@ -64,7 +66,7 @@ def dense_diagonal(form: SymForm) -> np.ndarray:
         return np.eye(1 << form.m, dtype=complex)
     M = ring.modulus(form.k)
     V = index_vectors(form.m)
-    exps = np.einsum("ij,jk,ik->i", V, form.matrix, V) % M
+    exps = np.einsum("ij,jk,ik->i", V, form.entries, V) % M
     return np.diag(np.exp(2j * math.pi * exps / M))
 
 
@@ -126,10 +128,9 @@ def pauli_decomposition(u: np.ndarray, tol: float = ATOL):
 
 
 def _hierarchy_generators(m: int) -> list[np.ndarray]:
+    zero = np.zeros(m, dtype=np.int64)
     gens = []
-    for i in range(m):
-        e = tuple(1 if j == i else 0 for j in range(m))
-        zero = (0,) * m
+    for e in np.eye(m, dtype=np.int64):
         gens.append(dense_pauli(PauliLabel(e, zero)))
         gens.append(dense_pauli(PauliLabel(zero, e)))
     return gens
@@ -141,15 +142,18 @@ def _in_level(u: np.ndarray, k: int, gens: list[np.ndarray], tol: float) -> bool
     return all(_in_level(conjugate_dense(u, g), k - 1, gens, tol) for g in gens)
 
 
-def hierarchy_level(u: np.ndarray, max_k: int = 5, tol: float = ATOL):
-    """Smallest level k <= max_k containing u, or None if undecided.
+def hierarchy_level(u: np.ndarray, max_k: int = MAX_EXACT_LEVEL, tol: float = ATOL):
+    """Smallest level k <= max_k containing u, or None if there is none.
 
     Level 1 is a strict Pauli match (i-power times a tensor of X, Z);
     higher levels recurse through conjugation of the single-qubit X- and
     Z-type generators, which generate all Paulis.  The recursion through
-    generators alone is exact up to level 3 (level-2 membership forms a
-    group); beyond that it is the standard generator relaxation.
+    generators alone is exact up to level 3, because level-2 membership
+    forms a group.  Above that it is only a relaxation that can report a
+    level too low, so max_k > MAX_EXACT_LEVEL raises ValueError.
     """
+    if max_k > MAX_EXACT_LEVEL:
+        raise ValueError(f"max_k={max_k} exceeds {MAX_EXACT_LEVEL}, the highest exact level")
     n = u.shape[0]
     m = n.bit_length() - 1
     if 1 << m != n:

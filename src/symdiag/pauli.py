@@ -21,53 +21,52 @@ import numpy as np
 from . import ring
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PauliLabel:
     """Integer-vector label (a, b) of a Hermitian Pauli.
 
     E(a, b) is Hermitian and squares to the identity for any non-negative
-    integer vectors a, b of equal length.
+    integer vectors a, b of equal length.  Both are stored as read-only
+    int64 copies of the input.
     """
 
-    a: tuple[int, ...]
-    b: tuple[int, ...]
+    a: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
-        a = tuple(ring.as_integers(self.a).tolist())
-        b = tuple(ring.as_integers(self.b).tolist())
-        if len(a) == 0:
-            raise ValueError("labels need at least one qubit")
-        if len(a) != len(b):
-            raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-        if any(x < 0 for x in a + b):
+        a, b = (ring.as_integers(x).copy() for x in (self.a, self.b))
+        if a.ndim != 1 or b.ndim != 1 or len(a) == 0:
+            raise ValueError("labels need vectors on at least one qubit")
+        ring.require_same_length(a, b)
+        if a.min() < 0 or b.min() < 0:
             raise ValueError("label entries must be non-negative")
+        a.flags.writeable = b.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+
+    def __eq__(self, other):
+        same_a = isinstance(other, PauliLabel) and np.array_equal(self.a, other.a)
+        return same_a and np.array_equal(self.b, other.b)
+
+    def __hash__(self):
+        return hash((self.a.tobytes(), self.b.tobytes()))
 
     @property
     def m(self) -> int:
         return len(self.a)
 
-    @property
-    def a_vec(self) -> np.ndarray:
-        return np.array(self.a, dtype=np.int64)
-
-    @property
-    def b_vec(self) -> np.ndarray:
-        return np.array(self.b, dtype=np.int64)
-
     def is_binary(self) -> bool:
-        return all(x <= 1 for x in self.a + self.b)
+        return bool(max(self.a.max(), self.b.max()) <= 1)
 
     def to_dict(self) -> dict:
-        return {"a": list(self.a), "b": list(self.b)}
+        return {"a": self.a.tolist(), "b": self.b.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PauliLabel":
-        return cls(tuple(d["a"]), tuple(d["b"]))
+        return cls(d["a"], d["b"])
 
     def __str__(self) -> str:
-        return f"E({list(self.a)},{list(self.b)})"
+        return f"E({self.a.tolist()},{self.b.tolist()})"
 
 
 @dataclass(frozen=True)
@@ -114,18 +113,18 @@ def multiply(p: PauliLabel, q: PauliLabel) -> PhasedPauli:
     for integer-vector labels as well as binary ones.
     """
     _require_same_m(p, q)
-    a, b = p.a_vec, p.b_vec
-    c, d = q.a_vec, q.b_vec
+    a, b = p.a, p.b
+    c, d = q.a, q.b
     exponent = int(b @ c - a @ d) % 4
-    out = PauliLabel(tuple(a + c), tuple(b + d))
+    out = PauliLabel(a + c, b + d)
     return PhasedPauli(exponent, 2, out)
 
 
 def symplectic_inner(p: PauliLabel, q: PauliLabel) -> int:
     """Binary symplectic inner product a0.d0 + b0.c0 mod 2."""
     _require_same_m(p, q)
-    a0, b0 = p.a_vec & 1, p.b_vec & 1
-    c0, d0 = q.a_vec & 1, q.b_vec & 1
+    a0, b0 = p.a & 1, p.b & 1
+    c0, d0 = q.a & 1, q.b & 1
     return int(a0 @ d0 + b0 @ c0) % 2
 
 
@@ -140,7 +139,7 @@ def normalize_label(p: PauliLabel) -> PhasedPauli:
     E(a, b) = (-1)^s E(a0, b0) with s read off from the i-exponent
     difference (a.b - a0.b0) mod 4, which is always 0 or 2.
     """
-    a, b = p.a_vec, p.b_vec
+    a, b = p.a, p.b
     a0, b0 = a & 1, b & 1
     exponent = int(a @ b - a0 @ b0) % 4
-    return PhasedPauli(exponent, 2, PauliLabel(tuple(a0), tuple(b0)))
+    return PhasedPauli(exponent, 2, PauliLabel(a0, b0))

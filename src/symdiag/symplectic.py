@@ -45,7 +45,7 @@ def gamma_matrix(form: SymForm) -> np.ndarray:
     """Integer symplectic lift Gamma(R) = [[I, R], [0, I]] of a symmetric form."""
     m = form.m
     out = np.eye(2 * m, dtype=np.int64)
-    out[:m, m:] = form.matrix
+    out[:m, m:] = form.entries
     return out
 
 
@@ -61,8 +61,8 @@ def apply_gamma(label: PauliLabel, form: SymForm) -> tuple[PauliLabel, np.ndarra
         raise ValueError("apply_gamma expects a binary label")
     if label.m != form.m:
         raise ValueError(f"dimension mismatch: label on {label.m}, form on {form.m}")
-    unreduced = _label_step(form, label.a_vec, label.b_vec)
-    return PauliLabel(label.a, tuple(unreduced & 1)), unreduced
+    unreduced = _label_step(form, label.a, label.b)
+    return PauliLabel(label.a, unreduced & 1), unreduced
 
 
 def gf2_inverse(Q: np.ndarray) -> np.ndarray:
@@ -157,7 +157,7 @@ def phase_generator(R) -> CliffordGen:
         raise ValueError("phase layer needs a symmetric matrix")
     if R.size and (R.min() < 0 or R.max() > 1):
         raise ValueError("phase layer needs a binary matrix")
-    form = SymForm.from_matrix(R, 2)
+    form = SymForm(R, 2)
     return CliffordGen("T_R", gamma_matrix(form), dense_diagonal(form), {"R": R})
 
 
@@ -208,7 +208,5 @@ def apply_symplectic(label: PauliLabel, F: np.ndarray) -> PauliLabel:
     """Map a binary label by the row action [a, b] F over Z_2."""
     if not label.is_binary():
         raise ValueError("apply_symplectic expects a binary label")
-    row = np.concatenate([label.a_vec, label.b_vec])
-    out = (row @ F) % 2
-    m = label.m
-    return PauliLabel(tuple(out[:m]), tuple(out[m:]))
+    out = (np.concatenate([label.a, label.b]) @ F) % 2
+    return PauliLabel(out[: label.m], out[label.m :])

@@ -60,12 +60,11 @@ def initial_stabilizer(m: int, k: int) -> list[StructuredGenerator]:
     through; phases start at denominator 4 and widen on composition.
     """
     ring.check_level(k)
-    gens = []
-    for j in range(m):
-        e = tuple(1 if i == j else 0 for i in range(m))
-        label = PauliLabel((0,) * m, e)
-        gens.append(StructuredGenerator(1, 0, 2, label, None))
-    return gens
+    zero = np.zeros(m, dtype=np.int64)
+    return [
+        StructuredGenerator(1, 0, 2, PauliLabel(zero, e), None)
+        for e in np.eye(m, dtype=np.int64)
+    ]
 
 
 def _add_phase(num: int, den: int, add_num: int, add_den: int) -> tuple[int, int]:
@@ -89,7 +88,7 @@ def _embed(form: SymForm, k: int) -> SymForm:
     """Rewrite a form at a higher level: exponents scale by 2^(k - form.k)."""
     if form.k > k:
         raise ValueError("can only embed into a higher level")
-    return SymForm.from_matrix((1 << (k - form.k)) * form.matrix, k)
+    return SymForm((1 << (k - form.k)) * form.entries, k)
 
 
 def _merge_forms(f1: SymForm, f2: SymForm) -> SymForm | None:
@@ -162,7 +161,7 @@ def _conjugate_residual(residual, gen: CliffordGen):
         # up to level 2 (XOR carries only surface at level 3 and above)
         if is_permutation_matrix(Q) or residual.k <= 2:
             qi = gf2_inverse(Q)
-            return SymForm.from_matrix(qi @ residual.matrix @ qi.T, residual.k)
+            return SymForm(qi @ residual.entries @ qi.T, residual.k)
     return conjugate_dense(gen.unitary, dense_diagonal(residual))
 
 
@@ -230,10 +229,8 @@ def verify_against_oracle(circuit: Circuit, tol: float = ATOL) -> dict:
     tracked = run_circuit(circuit)
     u = circuit_dense(circuit)
     deviations = []
-    for j, gen in enumerate(tracked):
-        e = tuple(1 if i == j else 0 for i in range(circuit.m))
-        initial = dense_pauli(PauliLabel((0,) * circuit.m, e))
-        target = conjugate_dense(u, initial)
+    for gen, initial in zip(tracked, initial_stabilizer(circuit.m, circuit.k)):
+        target = conjugate_dense(u, dense_pauli(initial.label))
         deviations.append(float(np.max(np.abs(target - dense_generator(gen)))))
     max_dev = max(deviations) if deviations else 0.0
     return {

@@ -1,13 +1,21 @@
 import json
 import math
 
-from symdiag.cli import main
+from symdiag.cli import build_parser, main
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_parser_built_once_with_fresh_namespaces():
+    assert build_parser() is build_parser()
+    first = build_parser().parse_args(["count", "--m", "2", "--k", "2", "--json"])
+    second = build_parser().parse_args(["count", "--m", "3", "--k", "1"])
+    assert first is not second
+    assert (first.m, first.json) == (2, True) and (second.m, second.json) == (3, False)
 
 
 class TestSynth:

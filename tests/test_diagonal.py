@@ -48,23 +48,28 @@ def _reconstruct(form, res):
 class TestSymForm:
     def test_canonicalization(self):
         f = SymForm(((9, 5), (5, -1)), 3)
-        assert f.entries == ((1, 1), (1, 7))
+        assert f.entries.tolist() == [[1, 1], [1, 7]]
         # the vectorised reduction agrees with the entrywise definition
         rng = np.random.default_rng(3)
         for _ in range(30):
             m, k = int(rng.integers(1, 6)), int(rng.integers(0, 7))
             upper = np.triu(rng.integers(-100, 100, size=(m, m)))
             raw = (upper + np.triu(upper, 1).T).tolist()
-            want = tuple(
-                tuple(x % (1 << (k if i == j else max(k - 1, 0))) for j, x in enumerate(row))
+            want = [
+                [x % (1 << (k if i == j else max(k - 1, 0))) for j, x in enumerate(row)]
                 for i, row in enumerate(raw)
-            )
-            assert SymForm(tuple(map(tuple, raw)), k).entries == want
-            assert SymForm.from_matrix(np.array(raw), k).entries == want
+            ]
+            assert SymForm(raw, k).entries.tolist() == want
+            assert SymForm(np.array(raw), k).entries.tolist() == want
 
     def test_symmetry_required(self):
         with pytest.raises(ValueError, match="symmetric"):
             SymForm(((0, 1), (2, 0)), 3)
+
+    def test_entries_must_be_square(self):
+        for bad in (5, [1], [[1, 2]]):
+            with pytest.raises(ValueError, match="square"):
+                SymForm(bad, 3)
 
     def test_level_zero_is_identity(self):
         f = SymForm(((3,),), 0)
@@ -77,7 +82,7 @@ class TestSymForm:
             m = int(rng.integers(1, 4))
             f = random_canonical_form(rng, m, 1)
             label = f.z_pauli_label()
-            assert label.a == (0,) * m
+            assert label.a.tolist() == [0] * m
             assert np.allclose(oracle.dense_diagonal(f), oracle.dense_pauli(label))
         with pytest.raises(ValueError, match="not Pauli"):
             SymForm(((1,),), 2).z_pauli_label()
@@ -102,7 +107,7 @@ class TestDiagonalEntries:
 
     @staticmethod
     def _direct(form):
-        R = form.matrix
+        R = form.entries
         return [int(v @ R @ v) % (1 << form.k) for v in index_vectors(form.m)]
 
     @pytest.mark.parametrize("k", [1, 2, 3, 6, 16])
@@ -127,7 +132,7 @@ class TestDiagonalEntries:
         assert exps.shape == (1 << m,) and exps.dtype == np.int64
         for idx in rng.integers(0, 1 << m, size=64).tolist():
             v = np.array([int(c) for c in np.binary_repr(idx, width=m)])
-            assert exps[idx] == int(v @ form.matrix @ v) % (1 << k)
+            assert exps[idx] == int(v @ form.entries @ v) % (1 << k)
 
 
 class TestXorCarry:
@@ -146,7 +151,7 @@ class TestXorCarry:
             v = rng.integers(0, 2, m)
             w = rng.integers(0, 2, m)
             x = (v ^ w).astype(np.int64)
-            R, M = form.matrix, 1 << k
+            R, M = form.entries, 1 << k
             lhs = int(x @ R @ x) % M
             rhs = (int((v + w) @ R @ (v + w)) - 4 * xor_carry(v, form, w)) % M
             assert lhs == rhs
@@ -157,7 +162,7 @@ class TestXorCarry:
             m, k = int(rng.integers(1, 4)), int(rng.integers(1, 6))
             form = random_canonical_form(rng, m, k)
             v, w = rng.integers(0, 2, m), rng.integers(0, 2, m)
-            R, M = form.matrix, 1 << k
+            R, M = form.entries, 1 << k
             proj = np.diag(1 - w) @ R @ np.diag(w) + np.diag((w @ R) * w)
             assert xor_carry(v, form, w) == int(v @ proj @ v) % M
 
@@ -202,11 +207,11 @@ class TestResidualExponent:
         rng = np.random.default_rng(m)
         for k in range(3, 7):
             upper = np.triu(rng.integers(0, 1 << k, size=(m, m)), 1)
-            form = SymForm.from_matrix(upper + upper.T + np.diag(rng.integers(0, 1 << k, m)), k)
+            form = SymForm(upper + upper.T + np.diag(rng.integers(0, 1 << k, m)), k)
             a = rng.integers(0, 4, m)
             b = rng.integers(0, 4, m)
             phi = global_phase_exponent(form, a, b)
-            R_next = residual_form(form, a).matrix
+            R_next = residual_form(form, a).entries
             for v in rng.integers(0, 2, size=(8, m)):
                 expected = (phi + 2 * int(v @ R_next @ v)) % (1 << k)
                 assert residual_exponent(v, form, a, b) == expected
@@ -452,8 +457,8 @@ class TestEntryListInjectivity:
 class TestCczCompanion:
     def test_entries(self):
         form = ccz_companion()
-        assert form.diag.tolist() == [7, 7, 7]
-        off = [form.entries[i][j] for i in range(3) for j in range(3) if i != j]
+        assert form.entries.diagonal().tolist() == [7, 7, 7]
+        off = [form.entries[i, j] for i in range(3) for j in range(3) if i != j]
         assert all(x == 1 and x == 5 % 4 for x in off)
 
     def test_last_exponent(self):

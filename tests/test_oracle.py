@@ -83,7 +83,7 @@ def test_hierarchy_level_random_forms():
                 mat[i, i] = rng.integers(0, 8)
                 for j in range(i + 1, m):
                     mat[i, j] = mat[j, i] = rng.integers(0, 4)
-            form = SymForm.from_matrix(mat, 3)
+            form = SymForm(mat, 3)
             level = oracle.hierarchy_level(oracle.dense_diagonal(form), max_k=3)
             assert level is not None and level <= 3
 
@@ -100,6 +100,12 @@ def test_hierarchy_level_guards():
         oracle.hierarchy_level(np.ones((2, 2), dtype=complex))
     with pytest.raises(ValueError, match="m <= 2"):
         oracle.hierarchy_level(np.eye(8, dtype=complex))
+
+
+def test_hierarchy_level_refuses_inexact_levels():
+    t = oracle.dense_diagonal(SymForm(((1,),), 3))
+    with pytest.raises(ValueError, match="max_k=4 exceeds 3"):
+        oracle.hierarchy_level(t, max_k=4)
 
 
 def test_hierarchy_level_unknown_for_generic_unitary():
