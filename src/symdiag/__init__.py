@@ -35,6 +35,7 @@ from .oracle import (
     conjugate_dense,
     dense_diagonal,
     dense_pauli,
+    dense_unitary,
     equal_up_to_global_phase,
     hierarchy_level,
 )
@@ -44,6 +45,7 @@ from .symplectic import (
     CliffordGen,
     apply_gamma,
     basis_change_generator,
+    clifford_conjugate,
     gamma_matrix,
     hadamard_generator,
     partial_hadamard_generator,
@@ -81,11 +83,13 @@ __all__ = [
     "ccz_companion",
     "circuit_from_dict",
     "circuit_to_dict",
+    "clifford_conjugate",
     "commutes",
     "conjugate",
     "conjugate_dense",
     "dense_diagonal",
     "dense_pauli",
+    "dense_unitary",
     "diagonal_entries",
     "enumerate_canonical_forms",
     "equal_up_to_global_phase",

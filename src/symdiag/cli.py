@@ -181,8 +181,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.m > 4:
-        raise CLIError("verification guard: m must be <= 4")
+    if not 1 <= args.m <= 4:
+        raise CLIError("verification guard: m must be in 1..4")
     results = default_suites(
         m=args.m,
         k=args.k,

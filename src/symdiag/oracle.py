@@ -4,11 +4,13 @@ Everything here builds explicit 2^m x 2^m operators straight from the
 definitions, independent of the symbolic calculus, and exists to verify
 it.  Entries of all constructed operators have magnitude 1 or 0, so a
 membership tolerance of 1e-8 (1e-12 for direct entry comparisons) leaves
-orders of magnitude of headroom at m <= 4.
+orders of magnitude of headroom at m <= 4.  The only state kept is
+read-only tables, one per qubit count up to that guard.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -36,6 +38,14 @@ def _check_dense_m(m: int, guard: int = MAX_DENSE_QUBITS) -> int:
     return m
 
 
+@functools.cache
+def _basis_vectors(m: int) -> np.ndarray:
+    """Read-only index_vectors(m), built once per m <= MAX_DENSE_QUBITS."""
+    V = index_vectors(_check_dense_m(m))
+    V.flags.writeable = False
+    return V
+
+
 def _dense_xz(a0: np.ndarray, b0: np.ndarray) -> np.ndarray:
     """Phaseless tensor product X^a1 Z^b1 (x) ... (x) X^am Z^bm.
 
@@ -43,7 +53,7 @@ def _dense_xz(a0: np.ndarray, b0: np.ndarray) -> np.ndarray:
     """
     m = len(a0)
     n = 1 << m
-    V = index_vectors(m)
+    V = _basis_vectors(m)
     rows = np.arange(n) ^ basis_index(a0)
     signs = (-1.0) ** (V @ b0)
     out = np.zeros((n, n), dtype=complex)
@@ -65,9 +75,40 @@ def dense_diagonal(form: SymForm) -> np.ndarray:
     if form.k == 0:
         return np.eye(1 << form.m, dtype=complex)
     M = ring.modulus(form.k)
-    V = index_vectors(form.m)
+    V = _basis_vectors(form.m)
     exps = np.einsum("ij,jk,ik->i", V, form.entries, V) % M
     return np.diag(np.exp(2j * math.pi * exps / M))
+
+
+def _hadamard(m: int) -> np.ndarray:
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    out = np.eye(1, dtype=complex)
+    for _ in range(m):
+        out = np.kron(out, h)
+    return out
+
+
+def dense_unitary(gen) -> np.ndarray:
+    """Dense unitary of a Clifford generator, built from its kind and params.
+
+    H is H^(x m), partialH(t) is I_(2^t) (x) H^(x (m - t)), L_Q sends |v>
+    to |vQ>, and T_R is diag(i^(v R v^T)), the level-2 gate of R.
+    """
+    m = _check_dense_m(gen.m)
+    if gen.kind == "H":
+        return _hadamard(m)
+    if gen.kind == "partialH":
+        t = gen.params["t"]
+        return np.kron(np.eye(1 << t, dtype=complex), _hadamard(m - t))
+    if gen.kind == "L_Q":
+        n = 1 << m
+        weights = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
+        out = np.zeros((n, n), dtype=complex)
+        out[(_basis_vectors(m) @ gen.params["Q"] % 2) @ weights, np.arange(n)] = 1.0
+        return out
+    if gen.kind == "T_R":
+        return dense_diagonal(SymForm(gen.params["R"], 2))
+    raise ValueError(f"unknown Clifford generator kind: {gen.kind!r}")
 
 
 def conjugate_dense(u: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -127,16 +168,20 @@ def pauli_decomposition(u: np.ndarray, tol: float = ATOL):
     return None
 
 
-def _hierarchy_generators(m: int) -> list[np.ndarray]:
+@functools.cache
+def _hierarchy_generators(m: int) -> tuple[np.ndarray, ...]:
+    """Read-only dense X_j and Z_j, built once per m <= MAX_DENSE_QUBITS."""
     zero = np.zeros(m, dtype=np.int64)
     gens = []
     for e in np.eye(m, dtype=np.int64):
         gens.append(dense_pauli(PauliLabel(e, zero)))
         gens.append(dense_pauli(PauliLabel(zero, e)))
-    return gens
+    for g in gens:
+        g.flags.writeable = False
+    return tuple(gens)
 
 
-def _in_level(u: np.ndarray, k: int, gens: list[np.ndarray], tol: float) -> bool:
+def _in_level(u: np.ndarray, k: int, gens: tuple[np.ndarray, ...], tol: float) -> bool:
     if k == 1:
         return pauli_decomposition(u, tol) is not None
     return all(_in_level(conjugate_dense(u, g), k - 1, gens, tol) for g in gens)

@@ -5,10 +5,13 @@ gamma_matrix builds the upper-triangular block lift Gamma(R) = [[I, R],
 2 (is_binary_symplectic, the one such check) and carries the label part of
 diagonal-gate conjugation: apply_gamma computes [a0, b0] Gamma(R) with the
 same label step that diagonal.conjugate uses.  The standard Clifford
-generator set is provided as (binary symplectic F, dense unitary) pairs:
-transversal Hadamard, basis changes |v> -> |vQ>, Clifford diagonal phase
-layers (whose F is Gamma(R) at level 2), and partial Hadamards on a suffix
-of the qubits.
+generators are symbolic: each carries its binary symplectic F and the
+parameters of its kind.  They are the transversal Hadamard, basis changes
+|v> -> |vQ>, Clifford diagonal phase layers (whose F is Gamma(R) at level
+2), and partial Hadamards on a suffix of the qubits.  clifford_conjugate
+maps a binary Pauli through any of them exactly, sign included, with one
+symbolic rule per kind; no dense matrix is built (oracle.dense_unitary
+builds one for verification).
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ring
-from .diagonal import SymForm, _label_step, index_vectors
-from .oracle import dense_diagonal
+from .diagonal import SymForm, _label_step, conjugate
 from .pauli import PauliLabel
 
 
@@ -88,21 +90,31 @@ def gf2_inverse(Q: np.ndarray) -> np.ndarray:
 
 
 def is_permutation_matrix(Q: np.ndarray) -> bool:
+    """A 0/1 matrix with one 1 in every row and every column; O(m^2)."""
     Q = np.asarray(Q, dtype=np.int64)
     return bool(
-        np.array_equal(Q @ Q.T, np.eye(Q.shape[0], dtype=np.int64))
-        and np.all((Q == 0) | (Q == 1))
+        np.all((Q == 0) | (Q == 1))
+        and np.all(Q.sum(axis=0) == 1)
+        and np.all(Q.sum(axis=1) == 1)
     )
 
 
 @dataclass(eq=False)
 class CliffordGen:
-    """A Table-style Clifford generator: binary symplectic F plus dense unitary."""
+    """A Table-style Clifford generator, held symbolically.
+
+    F is its binary symplectic matrix and params its defining parameters
+    (t, Q or R), as to_dict writes them.  The per-layer constants of the
+    conjugation rules are computed once, on construction: form is the
+    level-2 form of a T_R layer, and perm, for an L_Q layer whose Q is a
+    permutation, the index p with Q^-1 R Q^-T = R[p][:, p].
+    """
 
     kind: str
     F: np.ndarray
-    unitary: np.ndarray
     params: dict = field(default_factory=dict)
+    form: SymForm | None = None
+    perm: np.ndarray | None = None
 
     @property
     def m(self) -> int:
@@ -115,17 +127,9 @@ class CliffordGen:
         return out
 
 
-def _hadamard_dense(m: int) -> np.ndarray:
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    out = np.eye(1, dtype=complex)
-    for _ in range(m):
-        out = np.kron(out, h)
-    return out
-
-
 def hadamard_generator(m: int) -> CliffordGen:
-    """Transversal Hadamard: F = Omega, unitary H^(x m)."""
-    return CliffordGen("H", omega(m), _hadamard_dense(m))
+    """Transversal Hadamard H^(x m): F = Omega."""
+    return CliffordGen("H", omega(m))
 
 
 def basis_change_generator(Q) -> CliffordGen:
@@ -140,11 +144,8 @@ def basis_change_generator(Q) -> CliffordGen:
     F = np.zeros((2 * m, 2 * m), dtype=np.int64)
     F[:m, :m] = Q
     F[m:, m:] = Qinv.T
-    n = 1 << m
-    weights = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
-    dense = np.zeros((n, n), dtype=complex)
-    dense[(index_vectors(m) @ Q % 2) @ weights, np.arange(n)] = 1.0
-    return CliffordGen("L_Q", F, dense, {"Q": Q})
+    perm = np.argmax(Q, axis=0) if is_permutation_matrix(Q) else None
+    return CliffordGen("L_Q", F, {"Q": Q}, perm=perm)
 
 
 def phase_generator(R) -> CliffordGen:
@@ -158,7 +159,7 @@ def phase_generator(R) -> CliffordGen:
     if R.size and (R.min() < 0 or R.max() > 1):
         raise ValueError("phase layer needs a binary matrix")
     form = SymForm(R, 2)
-    return CliffordGen("T_R", gamma_matrix(form), dense_diagonal(form), {"R": R})
+    return CliffordGen("T_R", gamma_matrix(form), {"R": R}, form=form)
 
 
 def partial_hadamard_generator(m: int, t: int) -> CliffordGen:
@@ -169,12 +170,11 @@ def partial_hadamard_generator(m: int, t: int) -> CliffordGen:
     upper[:t, :t] = np.eye(t, dtype=np.int64)
     lower = np.eye(m, dtype=np.int64) - upper
     F = np.block([[upper, lower], [lower, upper]])
-    dense = np.kron(np.eye(1 << t, dtype=complex), _hadamard_dense(m - t))
-    return CliffordGen("partialH", F, dense, {"t": t})
+    return CliffordGen("partialH", F, {"t": t})
 
 
 def table1_generators(m: int, Q=None, R=None, t: int = 0) -> list[CliffordGen]:
-    """The four standard generator pairs at the given parameters.
+    """The four standard generators at the given parameters.
 
     Defaults: Q = I (trivial basis change), R = 0 (trivial phase layer),
     t = 0 (full transversal Hadamard for the partial-Hadamard slot).
@@ -210,3 +210,37 @@ def apply_symplectic(label: PauliLabel, F: np.ndarray) -> PauliLabel:
         raise ValueError("apply_symplectic expects a binary label")
     out = (np.concatenate([label.a, label.b]) @ F) % 2
     return PauliLabel(out[: label.m], out[label.m :])
+
+
+def clifford_conjugate(gen: CliffordGen, label: PauliLabel) -> tuple[int, PauliLabel]:
+    """(sign, new) with gen E(label) gen^dagger = sign * E(new), exactly.
+
+    One symbolic rule per kind, on a binary label (a, b):
+    - H: E(a, b) -> (-1)^(a.b) E(b, a); partialH(t) applies it to the
+      suffix qubits t..m-1 only.
+    - L_Q: X^a Z^b -> X^a' Z^b' with a' = aQ, b' = bQ^-T (mod 2), so
+      E(a, b) -> i^(a.b - a'.b') E(a', b').
+    - T_R: the level-2 conjugation by the form of R, whose residual is the
+      zero level-1 form, leaving i^phi E(label).
+    Each sign is i^e for an even e, since the image of a Hermitian Pauli
+    under a Clifford is again Hermitian.
+    """
+    if not label.is_binary():
+        raise ValueError("clifford_conjugate expects a binary label")
+    if label.m != gen.m:
+        raise ValueError(f"dimension mismatch: label on {label.m}, generator on {gen.m}")
+    a, b = label.a, label.b
+    if gen.kind in ("H", "partialH"):
+        t = gen.params.get("t", 0)
+        e = 2 * int(a[t:] @ b[t:])
+        new = PauliLabel(np.concatenate([a[:t], b[t:]]), np.concatenate([b[:t], a[t:]]))
+    elif gen.kind == "L_Q":
+        m = gen.m
+        new = PauliLabel(a @ gen.F[:m, :m] % 2, b @ gen.F[m:, m:] % 2)
+        e = int(a @ b) - int(new.a @ new.b)
+    elif gen.kind == "T_R":
+        res = conjugate(gen.form, label)
+        e, new = res.phase_exponent, res.label
+    else:
+        raise ValueError(f"unknown Clifford generator kind: {gen.kind!r}")
+    return (-1 if e % 4 else 1), new

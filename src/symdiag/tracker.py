@@ -9,7 +9,11 @@ diagonal phase layers) transform that form exactly.  Anything beyond that
 regime (a Hadamard acting on a live residual, or a non-permutation basis
 change on a residual above level 2) leaves the family of quadratic-form
 diagonals, so the residual is demoted to an explicit dense Opaque factor
-rather than silently approximated.
+rather than silently approximated.  Signs and labels move by the exact
+symbolic rule of each Clifford kind (symplectic.clifford_conjugate), so a
+circuit that never demotes builds no dense matrix and runs at any m.  A
+demotion needs a dense factor, which exists only up to the oracle's guard
+of MAX_DENSE_QUBITS; above it the layer that demotes raises ValueError.
 
 There is one step per layer kind: apply_diagonal for a form and
 apply_clifford for a generator, whatever residuals the generators carry.
@@ -18,21 +22,23 @@ run_circuit alternates them from initial_stabilizer.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ring
 from .diagonal import SymForm, conjugate, group_add
-from .oracle import ATOL, conjugate_dense, dense_diagonal, dense_pauli
-from .pauli import PauliLabel
-from .symplectic import (
-    CliffordGen,
-    apply_symplectic,
-    generator_from_dict,
-    gf2_inverse,
-    is_permutation_matrix,
+from .oracle import (
+    ATOL,
+    MAX_DENSE_QUBITS,
+    conjugate_dense,
+    dense_diagonal,
+    dense_pauli,
+    dense_unitary,
 )
+from .pauli import PauliLabel
+from .symplectic import CliffordGen, clifford_conjugate, generator_from_dict
 
 
 @dataclass(eq=False)
@@ -73,17 +79,6 @@ def _add_phase(num: int, den: int, add_num: int, add_den: int) -> tuple[int, int
     return total % (1 << d), d
 
 
-def _resolve_sign(gen: CliffordGen, old: PauliLabel, new: PauliLabel) -> int:
-    """Sign in g E(old) g^dagger = +/- E(new), fixed by the dense oracle."""
-    lhs = conjugate_dense(gen.unitary, dense_pauli(old))
-    rhs = dense_pauli(new)
-    if np.allclose(lhs, rhs, atol=ATOL):
-        return 1
-    if np.allclose(lhs, -rhs, atol=ATOL):
-        return -1
-    raise AssertionError("Clifford conjugation did not produce a signed Pauli")
-
-
 def _embed(form: SymForm, k: int) -> SymForm:
     """Rewrite a form at a higher level: exponents scale by 2^(k - form.k)."""
     if form.k > k:
@@ -121,6 +116,7 @@ def apply_diagonal(gens: list[StructuredGenerator], form: SymForm) -> list[Struc
     an Opaque residual is conjugated densely and the fresh factor multiplied
     on.
     """
+    dense_layer = functools.cache(lambda: dense_diagonal(form))
     out = []
     for g in gens:
         if g.m != form.m:
@@ -129,7 +125,7 @@ def apply_diagonal(gens: list[StructuredGenerator], form: SymForm) -> list[Struc
         num, den = _add_phase(g.phase_num, g.phase_log2_den, res.phase_exponent, form.k)
         fresh = None if res.residual.is_zero() else res.residual
         if isinstance(g.residual, np.ndarray):
-            d = dense_diagonal(form)
+            d = dense_layer()
             opaque = d @ g.residual @ d.conj().T
             if fresh is not None:
                 opaque = dense_diagonal(fresh) @ opaque
@@ -144,25 +140,27 @@ def apply_diagonal(gens: list[StructuredGenerator], form: SymForm) -> list[Struc
     return out
 
 
-def _conjugate_residual(residual, gen: CliffordGen):
+def _conjugate_residual(residual, layer: CliffordGen, dense_layer):
     if residual is None:
         return None
     if isinstance(residual, np.ndarray):
-        return conjugate_dense(gen.unitary, residual)
-    if gen.kind == "T_R":
+        return conjugate_dense(dense_layer(), residual)
+    if layer.kind == "T_R":
         # a diagonal Clifford layer commutes with any diagonal residual
         return residual
-    if gen.kind == "partialH" and gen.params.get("t") == gen.m:
+    if layer.kind == "partialH" and layer.params["t"] == layer.m:
         return residual
-    if gen.kind == "L_Q":
-        Q = gen.params["Q"]
-        # |v> -> |vQ| relabels the quadratic form by Q^-1 on both sides;
-        # exact for permutations at any level, and for any invertible Q
-        # up to level 2 (XOR carries only surface at level 3 and above)
-        if is_permutation_matrix(Q) or residual.k <= 2:
-            qi = gf2_inverse(Q)
+    if layer.kind == "L_Q":
+        # |v> -> |vQ> relabels the quadratic form to Q^-1 R Q^-T; exact for
+        # permutations at any level, and for any invertible Q up to level 2
+        # (XOR carries only surface at level 3 and above)
+        if layer.perm is not None:
+            p = layer.perm
+            return SymForm(residual.entries[p][:, p], residual.k)
+        if residual.k <= 2:
+            qi = layer.F[layer.m :, layer.m :].T
             return SymForm(qi @ residual.entries @ qi.T, residual.k)
-    return conjugate_dense(gen.unitary, dense_diagonal(residual))
+    return conjugate_dense(dense_layer(), dense_diagonal(residual))
 
 
 def apply_clifford(
@@ -170,21 +168,34 @@ def apply_clifford(
 ) -> list[StructuredGenerator]:
     """Push a Clifford layer through every generator.
 
-    The label moves by the layer's binary symplectic F and the sign is
-    read off dense conjugation.  Empty residuals stay empty, form residuals are
+    The sign and label move by the layer's exact symbolic rule
+    (clifford_conjugate).  Empty residuals stay empty, form residuals are
     relabelled or kept where the layer preserves the quadratic-form family
     and demoted to dense Opaque factors otherwise, and Opaque residuals
-    are conjugated densely.
+    are conjugated densely.  The layer's dense unitary is built at most
+    once, and only when a residual needs it; above MAX_DENSE_QUBITS that
+    raises ValueError.
     """
+
+    @functools.cache
+    def dense_layer() -> np.ndarray:
+        if layer.m > MAX_DENSE_QUBITS:
+            raise ValueError(
+                f"{layer.kind} demotes a live residual; "
+                f"dense Opaque factors need m <= {MAX_DENSE_QUBITS}"
+            )
+        return dense_unitary(layer)
+
     out = []
     for g in gens:
         if g.m != layer.m:
             raise ValueError(f"dimension mismatch: generator on {g.m}, layer on {layer.m}")
-        new_label = apply_symplectic(g.label, layer.F)
-        sign = g.sign * _resolve_sign(layer, g.label, new_label)
-        residual = _conjugate_residual(g.residual, layer)
+        sign, new_label = clifford_conjugate(layer, g.label)
+        residual = _conjugate_residual(g.residual, layer, dense_layer)
         out.append(
-            StructuredGenerator(sign, g.phase_num, g.phase_log2_den, new_label, residual)
+            StructuredGenerator(
+                g.sign * sign, g.phase_num, g.phase_log2_den, new_label, residual
+            )
         )
     return out
 
@@ -205,19 +216,25 @@ class Circuit:
 
 
 def run_circuit(circuit: Circuit) -> list[StructuredGenerator]:
+    """Track the all-zeros stabilizer through every layer.
+
+    A ValueError from a layer is re-raised with the layer's index in front,
+    e.g. "layer 2: H demotes a live residual; ...".
+    """
     gens = initial_stabilizer(circuit.m, circuit.k)
-    for layer in circuit.layers:
-        if isinstance(layer, SymForm):
-            gens = apply_diagonal(gens, layer)
-        else:
-            gens = apply_clifford(gens, layer)
+    for i, layer in enumerate(circuit.layers):
+        step = apply_diagonal if isinstance(layer, SymForm) else apply_clifford
+        try:
+            gens = step(gens, layer)
+        except ValueError as exc:
+            raise ValueError(f"layer {i}: {exc}") from exc
     return gens
 
 
 def circuit_dense(circuit: Circuit) -> np.ndarray:
     u = np.eye(1 << circuit.m, dtype=complex)
     for layer in circuit.layers:
-        d = dense_diagonal(layer) if isinstance(layer, SymForm) else layer.unitary
+        d = dense_diagonal(layer) if isinstance(layer, SymForm) else dense_unitary(layer)
         u = d @ u
     return u
 

@@ -230,8 +230,9 @@ class TestVerify:
         assert failing and failing[0]["detail"]  # counterexample located
 
     def test_guard(self, capsys):
-        code, _, err = run(capsys, "verify", "--m", "5")
-        assert code == 1 and "m must be <= 4" in err
+        for m in ("5", "0", "-1"):
+            code, _, err = run(capsys, "verify", "--m", m)
+            assert code == 1 and "verification guard: m must be in 1..4" in err
 
     def test_deterministic_given_seed(self, capsys):
         _, out1, _ = run(capsys, "verify", "--m", "1", "--k", "2", "--samples", "5", "--seed", "7", "--json")

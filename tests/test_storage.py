@@ -103,3 +103,17 @@ def test_dicts_are_plain_json():
     failed = check_conjugation_exactness(2, 3, 5, np.random.default_rng(0), flip_phase=True)
     assert not failed.passed
     assert set(json.loads(json.dumps(failed.detail))) == {"R", "a", "b"}
+
+
+def test_dense_oracle_tables_are_read_only_and_built_once():
+    from symdiag import oracle
+
+    for m in range(1, oracle.MAX_DENSE_QUBITS + 1):
+        table = oracle._basis_vectors(m)
+        assert table is oracle._basis_vectors(m)
+        assert not table.flags.writeable
+    gens = oracle._hierarchy_generators(2)
+    assert gens is oracle._hierarchy_generators(2)
+    assert len(gens) == 4 and not any(g.flags.writeable for g in gens)
+    with pytest.raises(ValueError, match="m <= 4"):
+        oracle._basis_vectors(oracle.MAX_DENSE_QUBITS + 1)

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from symdiag import oracle
-from symdiag.checks import random_canonical_form
+from symdiag.checks import check_clifford_signs, random_canonical_form
 from symdiag.diagonal import SymForm, group_add, index_vectors
 from symdiag.pauli import PauliLabel
 from symdiag.symplectic import (
     apply_gamma,
     apply_symplectic,
     basis_change_generator,
+    clifford_conjugate,
     gamma_matrix,
     generator_from_dict,
     gf2_inverse,
@@ -111,13 +112,13 @@ class TestGenerators:
         assert out == PauliLabel((0,), (1,))
         x = oracle.dense_pauli(PauliLabel((1,), (0,)))
         z = oracle.dense_pauli(PauliLabel((0,), (1,)))
-        assert np.allclose(oracle.conjugate_dense(gen.unitary, x), z, atol=1e-12)
+        assert np.allclose(oracle.conjugate_dense(oracle.dense_unitary(gen), x), z, atol=1e-12)
 
     def test_phase_layer_is_p_gate(self):
         gen = phase_generator(np.array([[1]]))
-        assert np.allclose(gen.unitary, np.diag([1, 1j]), atol=1e-12)
+        assert np.allclose(oracle.dense_unitary(gen), np.diag([1, 1j]), atol=1e-12)
         # same gate at level 3 with doubled entry
-        assert np.allclose(gen.unitary, oracle.dense_diagonal(SymForm(((2,),), 3)))
+        assert np.allclose(oracle.dense_unitary(gen), oracle.dense_diagonal(SymForm(((2,),), 3)))
 
     def test_phase_layer_validation(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -130,7 +131,7 @@ class TestGenerators:
         x1 = PauliLabel((1, 0), (0, 0))
         out = apply_symplectic(x1, gen.F)
         assert out == PauliLabel((1, 1), (0, 0))
-        lhs = oracle.conjugate_dense(gen.unitary, oracle.dense_pauli(x1))
+        lhs = oracle.conjugate_dense(oracle.dense_unitary(gen), oracle.dense_pauli(x1))
         assert np.allclose(lhs, oracle.dense_pauli(out), atol=1e-12)
 
     def test_basis_change_rejects_singular(self):
@@ -148,17 +149,17 @@ class TestGenerators:
     def test_partial_hadamard_extremes(self):
         full = partial_hadamard_generator(2, 0)
         assert np.array_equal(full.F, omega(2))
-        assert np.allclose(full.unitary, hadamard_generator(2).unitary)
+        assert np.allclose(oracle.dense_unitary(full), oracle.dense_unitary(hadamard_generator(2)))
         trivial = partial_hadamard_generator(2, 2)
         assert np.array_equal(trivial.F, np.eye(4, dtype=np.int64))
-        assert np.allclose(trivial.unitary, np.eye(4))
+        assert np.allclose(oracle.dense_unitary(trivial), np.eye(4))
 
     def test_table_emits_four_symplectic_pairs(self):
         gens = table1_generators(2, Q=CNOT, R=np.array([[1, 1], [1, 0]]), t=1)
         assert [g.kind for g in gens] == ["H", "L_Q", "T_R", "partialH"]
         for gen in gens:
             assert is_binary_symplectic(gen.F)
-            assert oracle.is_unitary(gen.unitary, tol=1e-12)
+            assert oracle.is_unitary(oracle.dense_unitary(gen), tol=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_sign_resolved_conjugation_everywhere(self, m):
@@ -171,18 +172,26 @@ class TestGenerators:
             r[0, 1] = r[1, 0] = 1
         for gen in table1_generators(m, Q=q, R=r, t=m // 2):
             for label in _binary_labels(m):
-                out = apply_symplectic(label, gen.F)
-                lhs = oracle.conjugate_dense(gen.unitary, oracle.dense_pauli(label))
-                rhs = oracle.dense_pauli(out)
-                ok_plus = np.allclose(lhs, rhs, atol=1e-8)
-                ok_minus = np.allclose(lhs, -rhs, atol=1e-8)
-                assert ok_plus or ok_minus
+                sign, out = clifford_conjugate(gen, label)
+                assert out == apply_symplectic(label, gen.F)
+                lhs = oracle.conjugate_dense(oracle.dense_unitary(gen), oracle.dense_pauli(label))
+                assert np.allclose(lhs, sign * oracle.dense_pauli(out), atol=1e-8)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_clifford_signs_check(self, m):
+        result = check_clifford_signs(m, np.random.default_rng(m))
+        assert result.passed, result.detail
+        assert result.checked == (2 + m + 3 * 4) * 4**m
+
+    def test_clifford_conjugate_requires_binary(self):
+        with pytest.raises(ValueError, match="binary"):
+            clifford_conjugate(hadamard_generator(1), PauliLabel((2,), (0,)))
 
     def test_generator_json_round_trip(self):
         for gen in table1_generators(2, Q=CNOT, R=np.array([[1, 0], [0, 1]]), t=1):
             rebuilt = generator_from_dict(2, gen.to_dict())
             assert np.array_equal(rebuilt.F, gen.F)
-            assert np.allclose(rebuilt.unitary, gen.unitary)
+            assert np.allclose(oracle.dense_unitary(rebuilt), oracle.dense_unitary(gen))
 
 
 def test_unreduced_gamma_output_carries_the_conjugation_sign():

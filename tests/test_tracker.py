@@ -59,7 +59,7 @@ class TestApplyClifford:
 
     def test_cnot_layer_on_initial(self):
         gens = apply_clifford(initial_stabilizer(2, 3), basis_change_generator(CNOT))
-        # Z1 -> Z1, Z2 -> Z1 Z2, both with + sign (resolved densely)
+        # Z1 -> Z1, Z2 -> Z1 Z2, both with + sign
         assert {g.label for g in gens} == {
             PauliLabel((0, 0), (1, 0)),
             PauliLabel((0, 0), (1, 1)),
@@ -230,6 +230,60 @@ class TestVerifyAgainstOracle:
     def test_guard(self):
         with pytest.raises(ValueError, match="m <= 3"):
             verify_against_oracle(Circuit(4, 3, []))
+
+
+def _replicated_circuit(m):
+    """One 2-qubit circuit on each of the m/2 disjoint pairs: H, a level-4
+    layer, a phase layer, a SWAP, the trivial partial Hadamard and a level-3
+    layer, with block-diagonal R, B and Q."""
+
+    def rep(block):
+        return np.kron(np.eye(m // 2, dtype=np.int64), np.array(block, dtype=np.int64))
+
+    return Circuit(
+        m,
+        4,
+        [
+            hadamard_generator(m),
+            SymForm(rep([[1, 3], [3, 5]]), 4),
+            phase_generator(rep([[1, 1], [1, 0]])),
+            basis_change_generator(rep(SWAP)),
+            partial_hadamard_generator(m, m),
+            SymForm(rep([[3, 1], [1, 6]]), 3),
+        ],
+    )
+
+
+@pytest.mark.parametrize("m", [64, 256])
+def test_symbolic_circuit_at_scale_matches_its_blocks(m):
+    small = run_circuit(_replicated_circuit(2))
+    assert verify_against_oracle(_replicated_circuit(2))["ok"]
+    assert all(isinstance(g.residual, SymForm) for g in small)
+    big = run_circuit(_replicated_circuit(m))
+    assert len(big) == m
+    for j, g in enumerate(big):
+        s = small[j % 2]
+        block = slice(j - j % 2, j - j % 2 + 2)
+        assert (g.sign, g.phase_num, g.phase_log2_den) == (s.sign, s.phase_num, s.phase_log2_den)
+        a, b = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
+        a[block], b[block] = s.label.a, s.label.b
+        assert g.label == PauliLabel(a, b)
+        R = np.zeros((m, m), dtype=np.int64)
+        R[block, block] = s.residual.entries
+        assert g.residual == SymForm(R, s.residual.k)
+
+
+def test_demotion_above_dense_guard_names_the_layer():
+    form = SymForm(np.eye(5, dtype=np.int64), 3)
+    assert len(run_circuit(Circuit(5, 3, [hadamard_generator(5)]))) == 5
+    with pytest.raises(ValueError, match=r"^layer 2: H demotes a live residual; "
+                       r"dense Opaque factors need m <= 4$"):
+        run_circuit(Circuit(5, 3, [hadamard_generator(5), form, hadamard_generator(5)]))
+    cnot = np.eye(5, dtype=np.int64)
+    cnot[0, 1] = 1
+    with pytest.raises(ValueError, match="^layer 2: L_Q demotes"):
+        run_circuit(Circuit(5, 4, [hadamard_generator(5), SymForm(form.entries, 4),
+                                   basis_change_generator(cnot)]))
 
 
 def test_circuit_json_round_trip():
