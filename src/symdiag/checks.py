@@ -384,36 +384,38 @@ def check_conjugation_homomorphism(
     return CheckResult("conjugation-homomorphism", True, checked, max_dev)
 
 
-def _sign_check_generators(m: int, rng: np.random.Generator, samples: int):
-    """H, partialH at every t, and `samples` each of random permutation
-    Q, random invertible Q and random binary symmetric R."""
+SIGN_CHECK_SAMPLES = 4
+
+
+def _sign_check_generators(m: int, rng: np.random.Generator):
+    """H, partialH at every t, and SIGN_CHECK_SAMPLES each of random
+    permutation Q, random invertible Q and random binary symmetric R."""
     gens = [hadamard_generator(m)]
     gens += [partial_hadamard_generator(m, t) for t in range(m + 1)]
     eye = np.eye(m, dtype=np.int64)
-    gens += [basis_change_generator(eye[rng.permutation(m)]) for _ in range(samples)]
+    for _ in range(SIGN_CHECK_SAMPLES):
+        gens.append(basis_change_generator(eye[rng.permutation(m)]))
     invertible = 0
-    while invertible < samples:
+    while invertible < SIGN_CHECK_SAMPLES:
         try:
             gens.append(basis_change_generator(rng.integers(0, 2, size=(m, m))))
         except ValueError:  # singular over GF(2): draw again
             continue
         invertible += 1
-    for _ in range(samples):
+    for _ in range(SIGN_CHECK_SAMPLES):
         upper = np.triu(rng.integers(0, 2, size=(m, m), dtype=np.int64))
         gens.append(phase_generator(upper + np.triu(upper, 1).T))
     return gens
 
 
-def check_clifford_signs(
-    m: int, rng: np.random.Generator, samples: int = 4, tol: float = ATOL
-) -> CheckResult:
+def check_clifford_signs(m: int, rng: np.random.Generator) -> CheckResult:
     """clifford_conjugate against dense conjugation by oracle.dense_unitary,
     for every binary label and every generator kind: the sign exactly, and
     a label that also equals the row action of the generator's F."""
     name = f"clifford-signs(m={m})"
     checked = 0
     max_dev = 0.0
-    for gen in _sign_check_generators(m, rng, samples):
+    for gen in _sign_check_generators(m, rng):
         u = dense_unitary(gen)
         for a, b in _binary_pairs(m):
             label = PauliLabel(a, b)
@@ -422,7 +424,7 @@ def check_clifford_signs(
             dev = float(np.max(np.abs(lhs - sign * dense_pauli(new))))
             max_dev = max(max_dev, dev)
             checked += 1
-            if dev > tol or new != apply_symplectic(label, gen.F):
+            if dev > ATOL or new != apply_symplectic(label, gen.F):
                 detail = {**gen.to_dict(), "a": a.tolist(), "b": b.tolist()}
                 return CheckResult(name, False, checked, max_dev, detail)
     return CheckResult(name, True, checked, max_dev)

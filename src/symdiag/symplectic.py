@@ -17,6 +17,7 @@ builds one for verification).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -105,20 +106,29 @@ class CliffordGen:
 
     F is its binary symplectic matrix and params its defining parameters
     (t, Q or R), as to_dict writes them.  The per-layer constants of the
-    conjugation rules are computed once, on construction: form is the
-    level-2 form of a T_R layer, and perm, for an L_Q layer whose Q is a
-    permutation, the index p with Q^-1 R Q^-T = R[p][:, p].
+    conjugation rules (form, perm) are derived from params, once per
+    layer, on first use.
     """
 
     kind: str
     F: np.ndarray
     params: dict = field(default_factory=dict)
-    form: SymForm | None = None
-    perm: np.ndarray | None = None
 
     @property
     def m(self) -> int:
         return self.F.shape[0] // 2
+
+    @cached_property
+    def form(self) -> SymForm:
+        """The level-2 form of a T_R layer."""
+        return SymForm(self.params["R"], 2)
+
+    @cached_property
+    def perm(self) -> np.ndarray | None:
+        """For an L_Q layer whose Q is a permutation, the index p with
+        Q^-1 R Q^-T = R[p][:, p]; None otherwise."""
+        Q = self.params["Q"]
+        return np.argmax(Q, axis=0) if is_permutation_matrix(Q) else None
 
     def to_dict(self) -> dict:
         out = {"gen": self.kind, "params": {}}
@@ -144,8 +154,7 @@ def basis_change_generator(Q) -> CliffordGen:
     F = np.zeros((2 * m, 2 * m), dtype=np.int64)
     F[:m, :m] = Q
     F[m:, m:] = Qinv.T
-    perm = np.argmax(Q, axis=0) if is_permutation_matrix(Q) else None
-    return CliffordGen("L_Q", F, {"Q": Q}, perm=perm)
+    return CliffordGen("L_Q", F, {"Q": Q})
 
 
 def phase_generator(R) -> CliffordGen:
@@ -158,8 +167,7 @@ def phase_generator(R) -> CliffordGen:
         raise ValueError("phase layer needs a symmetric matrix")
     if R.size and (R.min() < 0 or R.max() > 1):
         raise ValueError("phase layer needs a binary matrix")
-    form = SymForm(R, 2)
-    return CliffordGen("T_R", gamma_matrix(form), {"R": R}, form=form)
+    return CliffordGen("T_R", gamma_matrix(SymForm(R, 2)), {"R": R})
 
 
 def partial_hadamard_generator(m: int, t: int) -> CliffordGen:
@@ -223,7 +231,7 @@ def clifford_conjugate(gen: CliffordGen, label: PauliLabel) -> tuple[int, PauliL
     - T_R: the level-2 conjugation by the form of R, whose residual is the
       zero level-1 form, leaving i^phi E(label).
     Each sign is i^e for an even e, since the image of a Hermitian Pauli
-    under a Clifford is again Hermitian.
+    under a Clifford is again Hermitian; an odd e raises AssertionError.
     """
     if not label.is_binary():
         raise ValueError("clifford_conjugate expects a binary label")
@@ -243,4 +251,6 @@ def clifford_conjugate(gen: CliffordGen, label: PauliLabel) -> tuple[int, PauliL
         e, new = res.phase_exponent, res.label
     else:
         raise ValueError(f"unknown Clifford generator kind: {gen.kind!r}")
+    if e % 2:
+        raise AssertionError("Clifford image is not a signed Hermitian Pauli")
     return (-1 if e % 4 else 1), new
