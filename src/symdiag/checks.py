@@ -1,9 +1,15 @@
 """Randomized and exhaustive verification suites.
 
 Each check returns a CheckResult; the CLI `verify` subcommand and the test
-suite both drive these.  All identities are exact, so "max_deviation" for
-modular checks is an integer residue magnitude and for dense checks a
-complex entrywise deviation.
+suite both drive these.  Every check is a generator of cases run by one
+policy, _first_failure: a case is (count, deviation, detail), `checked`
+adds up the counts (1 per case, or the basis states a case covers),
+`max_deviation` is the largest deviation seen, and the run stops at the
+first case whose deviation exceeds the tolerance, reporting its detail.
+The detail is a thunk, called only for that failing case.  All
+identities are exact: a modular check has tolerance 0 and deviation 1.0
+on a mismatch (its largest residue for the mod-4 check), and a dense
+check compares complex matrices entrywise within oracle.ATOL.
 """
 
 from __future__ import annotations
@@ -24,8 +30,7 @@ from .diagonal import (
     group_order,
     index_vectors,
     residual_exponent_list,
-    synthesize,
-    tensor,
+    xor_carry,
 )
 from .oracle import (
     ATOL,
@@ -61,6 +66,22 @@ class CheckResult:
         if not self.passed and self.detail:
             out += f" counterexample: {self.detail}"
         return out
+
+
+def _first_failure(name: str, cases, tol: float = 0.0) -> CheckResult:
+    """Run (count, deviation, detail thunk) cases up to the first failure."""
+    checked = 0
+    max_dev = 0.0
+    for count, dev, detail in cases:
+        checked += count
+        max_dev = max(max_dev, dev)
+        if dev > tol:
+            return CheckResult(name, False, checked, max_dev, detail())
+    return CheckResult(name, True, checked, max_dev)
+
+
+def _deviation(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def random_canonical_form(rng: np.random.Generator, m: int, k: int) -> SymForm:
@@ -104,28 +125,20 @@ def check_conjugation_exactness(
 ) -> CheckResult:
     """Dense equality of both sides of the conjugation identity."""
     pairs = _binary_pairs(m)
-    checked = 0
-    max_dev = 0.0
-    for _ in range(samples):
-        form = random_canonical_form(rng, m, k)
-        u = dense_diagonal(form)
-        use = pairs if exhaustive_paulis else [pairs[rng.integers(len(pairs))] for _ in range(4)]
-        for a, b in use:
-            p = PauliLabel(a, b)
-            lhs = conjugate_dense(u, dense_pauli(p))
-            rhs = reconstruct_dense(form, p, flip_phase=flip_phase)
-            dev = float(np.max(np.abs(lhs - rhs)))
-            max_dev = max(max_dev, dev)
-            checked += 1
-            if dev > tol:
-                return CheckResult(
-                    f"conjugation-exactness(m={m},k={k})",
-                    False,
-                    checked,
-                    max_dev,
-                    {"R": form.entries.tolist(), "a": a.tolist(), "b": b.tolist()},
-                )
-    return CheckResult(f"conjugation-exactness(m={m},k={k})", True, checked, max_dev)
+
+    def cases():
+        for _ in range(samples):
+            form = random_canonical_form(rng, m, k)
+            u = dense_diagonal(form)
+            use = pairs if exhaustive_paulis else [
+                pairs[rng.integers(len(pairs))] for _ in range(4)]
+            for a, b in use:
+                p = PauliLabel(a, b)
+                lhs = conjugate_dense(u, dense_pauli(p))
+                dev = _deviation(lhs, reconstruct_dense(form, p, flip_phase=flip_phase))
+                yield 1, dev, lambda: {"R": form.entries.tolist(), "a": a.tolist(), "b": b.tolist()}
+
+    return _first_failure(f"conjugation-exactness(m={m},k={k})", cases(), tol)
 
 
 def check_xor_quadratic_identity(
@@ -134,56 +147,73 @@ def check_xor_quadratic_identity(
     """(v XOR w) R (v XOR w)^T = (v+w) R (v+w)^T - 4*carry, plus the
     projection rewrite of the carry as a quadratic form."""
     M = 1 << k
-    checked = 0
-    for _ in range(samples):
-        form = random_canonical_form(rng, m, k)
-        R = form.entries
-        v = rng.integers(0, 2, size=m, dtype=np.int64)
-        w = rng.integers(0, 2, size=m, dtype=np.int64)
-        x = ring.xor_as_ring(v, w, k)
-        carry = int(((v + w) - v * w) @ R @ (v * w))
-        lhs = int(x @ R @ x) % M
-        rhs = (int((v + w) @ R @ (v + w)) - 4 * carry) % M
-        wbar = 1 - w
-        proj = np.diag(wbar) @ R @ np.diag(w) + np.diag((w @ R) * w)
-        rewrite = int(v @ proj @ v) % M
-        checked += 1
-        if lhs != rhs or carry % M != rewrite:
-            return CheckResult(
-                "xor-quadratic-identity",
-                False,
-                checked,
-                1.0,
-                {"v": v.tolist(), "w": w.tolist(), "R": form.entries.tolist()},
-            )
-    return CheckResult("xor-quadratic-identity", True, checked)
+
+    def cases():
+        for _ in range(samples):
+            form = random_canonical_form(rng, m, k)
+            R = form.entries
+            v = rng.integers(0, 2, size=m, dtype=np.int64)
+            w = rng.integers(0, 2, size=m, dtype=np.int64)
+            x = ring.xor_as_ring(v, w, k)
+            carry = xor_carry(v, form, w)
+            lhs = int(x @ R @ x) % M
+            rhs = (int((v + w) @ R @ (v + w)) - 4 * carry) % M
+            wbar = 1 - w
+            proj = np.diag(wbar) @ R @ np.diag(w) + np.diag((w @ R) * w)
+            rewrite = int(v @ proj @ v) % M
+            yield 1, float(lhs != rhs or carry != rewrite), lambda: {
+                "v": v.tolist(), "w": w.tolist(), "R": R.tolist()}
+
+    return _first_failure("xor-quadratic-identity", cases())
 
 
 def check_level2_exponents_vanish(m: int) -> CheckResult:
     """At k = 2 with binary labels the residual exponent is 0 mod 4,
     exhaustively over canonical forms, labels, and basis states."""
-    checked = 0
-    for form in enumerate_canonical_forms(m, 2):
-        for a, b in _binary_pairs(m):
-            vals = residual_exponent_list(form, a, b)
-            checked += len(vals)
-            if np.any(vals % 4):
-                return CheckResult(
-                    f"level2-exponents-vanish(m={m})",
-                    False,
-                    checked,
-                    float(np.max(vals % 4)),
-                    {"R": form.entries.tolist(), "a": a.tolist(), "b": b.tolist()},
-                )
-    return CheckResult(f"level2-exponents-vanish(m={m})", True, checked)
+
+    def cases():
+        for form in enumerate_canonical_forms(m, 2):
+            for a, b in _binary_pairs(m):
+                vals = residual_exponent_list(form, a, b)
+                yield len(vals), float(np.max(vals % 4)), lambda: {
+                    "R": form.entries.tolist(), "a": a.tolist(), "b": b.tolist()}
+
+    return _first_failure(f"level2-exponents-vanish(m={m})", cases())
 
 
-def _shifted(vals: np.ndarray, m: int, e0) -> np.ndarray:
+def _shifted(vals: np.ndarray, e0) -> np.ndarray:
     """Exponent list at shifted argument: entry v picks up value at v XOR e0."""
     shift = 0
     for x in e0:
         shift = (shift << 1) | int(x)
     return vals[np.arange(len(vals)) ^ shift]
+
+
+def _shift_additivity_cases(samples, rng, m, k, carry_free):
+    """Cases of both shift identities on label pairs (a, b), (c, d); with
+    carry_free, draws whose parity layers overlap are skipped and only the
+    product identity, now without carry term, is checked."""
+    M = 1 << k
+    drawn = 0
+    while drawn < samples:
+        form = random_canonical_form(rng, m, k)
+        a, b, c, d = (random_int_vector(rng, m) for _ in range(4))
+        a0, b0, c0, d0 = a & 1, b & 1, c & 1, d & 1
+        if carry_free and (np.any(a0 * c0) or np.any(b0 * d0)):
+            continue
+        drawn += 1
+        qa = residual_exponent_list(form, a, b)
+        qc = residual_exponent_list(form, c, d)
+        lhs = (_shifted(qa, c0) + qc) % M
+        a1, b1 = (a >> 1) & 1, (b >> 1) & 1
+        c1, d1 = (c >> 1) & 1, (d >> 1) & 1
+        cross = int(b0 @ c1) + int(b1 @ c0) - int(a0 @ d1) - int(a1 @ d0)
+        carry = int((a0 + c0) @ (b0 * d0)) + int((b0 + d0) @ (a0 * c0))
+        rhs = (residual_exponent_list(form, a + c, b + d) + (1 << (k - 1)) * (cross + carry)) % M
+        ok = np.all(lhs == rhs) and (carry_free or np.all(lhs == (qa + _shifted(qc, a0)) % M))
+        yield 1, float(not ok), lambda: {
+            "R": form.entries.tolist(), "a": a.tolist(), "b": b.tolist(),
+            "c": c.tolist(), "d": d.tolist()}
 
 
 def check_exponent_shift_additivity(
@@ -195,34 +225,8 @@ def check_exponent_shift_additivity(
     parity-layer carries of a+c and b+d; it vanishes exactly when the two
     labels have carry-free sums, recovering the plain cross term.
     """
-    M = 1 << k
-    checked = 0
-    for _ in range(samples):
-        form = random_canonical_form(rng, m, k)
-        a, b = random_int_vector(rng, m), random_int_vector(rng, m)
-        c, d = random_int_vector(rng, m), random_int_vector(rng, m)
-        qa = residual_exponent_list(form, a, b)
-        qc = residual_exponent_list(form, c, d)
-        lhs1 = (_shifted(qa, m, c & 1) + qc) % M
-        rhs1 = (qa + _shifted(qc, m, a & 1)) % M
-        a0, a1, b1 = a & 1, (a >> 1) & 1, (b >> 1) & 1
-        c0, c1 = c & 1, (c >> 1) & 1
-        b0, d0, d1 = b & 1, d & 1, (d >> 1) & 1
-        cross = int(b0 @ c1) + int(b1 @ c0) - int(a0 @ d1) - int(a1 @ d0)
-        carry = int((a0 + c0) @ (b0 * d0)) + int((b0 + d0) @ (a0 * c0))
-        qsum = residual_exponent_list(form, a + c, b + d)
-        rhs2 = (qsum + (1 << (k - 1)) * (cross + carry)) % M
-        checked += 1
-        if np.any(lhs1 != rhs1) or np.any(lhs1 != rhs2):
-            return CheckResult(
-                "exponent-shift-additivity",
-                False,
-                checked,
-                1.0,
-                {"R": form.entries.tolist(), "a": a.tolist(), "b": b.tolist(),
-                 "c": c.tolist(), "d": d.tolist()},
-            )
-    return CheckResult("exponent-shift-additivity", True, checked)
+    cases = _shift_additivity_cases(samples, rng, m, k, carry_free=False)
+    return _first_failure("exponent-shift-additivity", cases)
 
 
 def check_exponent_shift_additivity_carry_free(
@@ -230,33 +234,8 @@ def check_exponent_shift_additivity_carry_free(
 ) -> CheckResult:
     """The plain product identity on labels whose parity layers do not
     overlap, where the carry correction vanishes identically."""
-    M = 1 << k
-    checked = 0
-    while checked < samples:
-        form = random_canonical_form(rng, m, k)
-        a, b = random_int_vector(rng, m), random_int_vector(rng, m)
-        c, d = random_int_vector(rng, m), random_int_vector(rng, m)
-        a0, b0, c0, d0 = a & 1, b & 1, c & 1, d & 1
-        if np.any(a0 * c0) or np.any(b0 * d0):
-            continue
-        qa = residual_exponent_list(form, a, b)
-        qc = residual_exponent_list(form, c, d)
-        lhs = (_shifted(qa, m, c0) + qc) % M
-        a1, b1 = (a >> 1) & 1, (b >> 1) & 1
-        c1, d1 = (c >> 1) & 1, (d >> 1) & 1
-        cross = int(b0 @ c1) + int(b1 @ c0) - int(a0 @ d1) - int(a1 @ d0)
-        rhs = (residual_exponent_list(form, a + c, b + d) + (1 << (k - 1)) * cross) % M
-        checked += 1
-        if np.any(lhs != rhs):
-            return CheckResult(
-                "exponent-shift-additivity-carry-free",
-                False,
-                checked,
-                1.0,
-                {"R": form.entries.tolist(), "a": a.tolist(), "b": b.tolist(),
-                 "c": c.tolist(), "d": d.tolist()},
-            )
-    return CheckResult("exponent-shift-additivity-carry-free", True, checked)
+    cases = _shift_additivity_cases(samples, rng, m, k, carry_free=True)
+    return _first_failure("exponent-shift-additivity-carry-free", cases)
 
 
 def check_shift_difference_symmetry(
@@ -265,123 +244,94 @@ def check_shift_difference_symmetry(
     """The shift difference q(v XOR c0) - q(v) depends only on the parity
     layer of the label's X part and is symmetric under swapping it with c0."""
     M = 1 << k
-    checked = 0
-    for _ in range(samples):
-        form = random_canonical_form(rng, m, k)
-        a, b = random_int_vector(rng, m), random_int_vector(rng, m)
-        c = rng.integers(0, 2, size=m, dtype=np.int64)
-        a0 = a & 1
-        qa = residual_exponent_list(form, a, b)
-        qa0 = residual_exponent_list(form, a0, np.zeros(m, dtype=np.int64))
-        qc = residual_exponent_list(form, c, np.zeros(m, dtype=np.int64))
-        delta_ac = (_shifted(qa, m, c) - qa) % M
-        delta_a0c = (_shifted(qa0, m, c) - qa0) % M
-        delta_ca = (_shifted(qc, m, a0) - qc) % M
-        checked += 1
-        if np.any(delta_ac != delta_a0c) or np.any(delta_ac != delta_ca):
-            return CheckResult(
-                "shift-difference-symmetry",
-                False,
-                checked,
-                1.0,
-                {"R": form.entries.tolist(), "a": a.tolist(), "c": c.tolist()},
-            )
-    return CheckResult("shift-difference-symmetry", True, checked)
+    zero = np.zeros(m, dtype=np.int64)
+
+    def cases():
+        for _ in range(samples):
+            form = random_canonical_form(rng, m, k)
+            a, b = random_int_vector(rng, m), random_int_vector(rng, m)
+            c = rng.integers(0, 2, size=m, dtype=np.int64)
+            a0 = a & 1
+            qa = residual_exponent_list(form, a, b)
+            qa0 = residual_exponent_list(form, a0, zero)
+            qc = residual_exponent_list(form, c, zero)
+            delta_ac = (_shifted(qa, c) - qa) % M
+            delta_a0c = (_shifted(qa0, c) - qa0) % M
+            delta_ca = (_shifted(qc, a0) - qc) % M
+            ok = np.all(delta_ac == delta_a0c) and np.all(delta_ac == delta_ca)
+            yield 1, float(not ok), lambda: {
+                "R": form.entries.tolist(), "a": a.tolist(), "c": c.tolist()}
+
+    return _first_failure("shift-difference-symmetry", cases())
 
 
 def check_exponent_conjugation_shift(
-    samples: int, rng: np.random.Generator, m: int = 2, k: int = 3, tol: float = ATOL
+    samples: int, rng: np.random.Generator, m: int = 2, k: int = 3
 ) -> CheckResult:
     """Conjugating the residual diagonal by E(e0, f) permutes its exponent
     list by v -> v XOR e0: checked on lists and as dense matrices."""
-    checked = 0
-    max_dev = 0.0
-    for _ in range(samples):
-        form = random_canonical_form(rng, m, k)
-        a, b = random_int_vector(rng, m), random_int_vector(rng, m)
-        e, f = random_int_vector(rng, m), random_int_vector(rng, m)
-        vals = residual_exponent_list(form, a, b)
-        shifted = _shifted(vals, m, e & 1)
-        xi = _xi(k)
-        diag = np.diag(xi ** vals.astype(complex))
-        ep = dense_pauli(PauliLabel(e, f))
-        dev = float(np.max(np.abs(ep @ diag @ ep - np.diag(xi ** shifted.astype(complex)))))
-        max_dev = max(max_dev, dev)
-        checked += 1
-        if dev > tol:
-            return CheckResult(
-                "exponent-conjugation-shift",
-                False,
-                checked,
-                max_dev,
-                {"R": form.entries.tolist(), "e": e.tolist(), "f": f.tolist()},
-            )
-    return CheckResult("exponent-conjugation-shift", True, checked, max_dev)
+    xi = _xi(k)
+
+    def cases():
+        for _ in range(samples):
+            form = random_canonical_form(rng, m, k)
+            a, b = random_int_vector(rng, m), random_int_vector(rng, m)
+            e, f = random_int_vector(rng, m), random_int_vector(rng, m)
+            vals = residual_exponent_list(form, a, b)
+            shifted = _shifted(vals, e & 1)
+            diag = np.diag(xi ** vals.astype(complex))
+            ep = dense_pauli(PauliLabel(e, f))
+            dev = _deviation(ep @ diag @ ep, np.diag(xi ** shifted.astype(complex)))
+            yield 1, dev, lambda: {"R": form.entries.tolist(), "e": e.tolist(), "f": f.tolist()}
+
+    return _first_failure("exponent-conjugation-shift", cases(), ATOL)
 
 
 def check_sandwich_product_identity(
-    samples: int, rng: np.random.Generator, m: int = 2, k: int = 3, tol: float = ATOL
+    samples: int, rng: np.random.Generator, m: int = 2, k: int = 3
 ) -> CheckResult:
     """Dense sandwiched-product identity with e = b0 + a0 R, f = d0 + c0 R,
     the unreduced labels of the row action of Gamma(R)."""
-    checked = 0
-    max_dev = 0.0
-    for _ in range(samples):
-        form = random_canonical_form(rng, m, k)
-        u = dense_diagonal(form)
-        a, b = random_int_vector(rng, m), random_int_vector(rng, m)
-        c, d = random_int_vector(rng, m), random_int_vector(rng, m)
-        a0, b0 = a & 1, b & 1
-        c0, d0 = c & 1, d & 1
-        _, e = apply_gamma(PauliLabel(a0, b0), form)
-        _, f = apply_gamma(PauliLabel(c0, d0), form)
-        conj_ab = conjugate_dense(u, dense_pauli(PauliLabel(a, b)))
-        conj_cd = conjugate_dense(u, dense_pauli(PauliLabel(c, d)))
-        lhs = conj_cd @ conj_ab
-        pa = dense_pauli(PauliLabel(a0, e))
-        pc = dense_pauli(PauliLabel(c0, f))
-        rhs = (pa @ conj_cd @ pa) @ (pc @ conj_ab @ pc)
-        dev = float(np.max(np.abs(lhs - rhs)))
-        max_dev = max(max_dev, dev)
-        checked += 1
-        if dev > tol:
-            return CheckResult(
-                "sandwich-product-identity",
-                False,
-                checked,
-                max_dev,
-                {"R": form.entries.tolist(), "a": a.tolist(), "b": b.tolist(),
-                 "c": c.tolist(), "d": d.tolist()},
-            )
-    return CheckResult("sandwich-product-identity", True, checked, max_dev)
+
+    def cases():
+        for _ in range(samples):
+            form = random_canonical_form(rng, m, k)
+            u = dense_diagonal(form)
+            a, b = random_int_vector(rng, m), random_int_vector(rng, m)
+            c, d = random_int_vector(rng, m), random_int_vector(rng, m)
+            a0, b0 = a & 1, b & 1
+            c0, d0 = c & 1, d & 1
+            _, e = apply_gamma(PauliLabel(a0, b0), form)
+            _, f = apply_gamma(PauliLabel(c0, d0), form)
+            conj_ab = conjugate_dense(u, dense_pauli(PauliLabel(a, b)))
+            conj_cd = conjugate_dense(u, dense_pauli(PauliLabel(c, d)))
+            pa = dense_pauli(PauliLabel(a0, e))
+            pc = dense_pauli(PauliLabel(c0, f))
+            dev = _deviation(conj_cd @ conj_ab, (pa @ conj_cd @ pa) @ (pc @ conj_ab @ pc))
+            yield 1, dev, lambda: {
+                "R": form.entries.tolist(), "a": a.tolist(), "b": b.tolist(),
+                "c": c.tolist(), "d": d.tolist()}
+
+    return _first_failure("sandwich-product-identity", cases(), ATOL)
 
 
 def check_conjugation_homomorphism(
-    samples: int, rng: np.random.Generator, m: int = 2, k: int = 3, tol: float = ATOL
+    samples: int, rng: np.random.Generator, m: int = 2, k: int = 3
 ) -> CheckResult:
     """Conjugation respects the Pauli product: the symbolic result of the
     product label equals the product of the symbolic results, densely."""
-    checked = 0
-    max_dev = 0.0
-    for _ in range(samples):
-        form = random_canonical_form(rng, m, k)
-        p = PauliLabel(random_int_vector(rng, m), random_int_vector(rng, m))
-        q = PauliLabel(random_int_vector(rng, m), random_int_vector(rng, m))
-        prod = multiply(p, q)
-        lhs = prod.phase * reconstruct_dense(form, prod.label)
-        rhs = reconstruct_dense(form, p) @ reconstruct_dense(form, q)
-        dev = float(np.max(np.abs(lhs - rhs)))
-        max_dev = max(max_dev, dev)
-        checked += 1
-        if dev > tol:
-            return CheckResult(
-                "conjugation-homomorphism",
-                False,
-                checked,
-                max_dev,
-                {"R": form.entries.tolist(), "p": p.to_dict(), "q": q.to_dict()},
-            )
-    return CheckResult("conjugation-homomorphism", True, checked, max_dev)
+
+    def cases():
+        for _ in range(samples):
+            form = random_canonical_form(rng, m, k)
+            p = PauliLabel(random_int_vector(rng, m), random_int_vector(rng, m))
+            q = PauliLabel(random_int_vector(rng, m), random_int_vector(rng, m))
+            prod = multiply(p, q)
+            lhs = prod.phase * reconstruct_dense(form, prod.label)
+            dev = _deviation(lhs, reconstruct_dense(form, p) @ reconstruct_dense(form, q))
+            yield 1, dev, lambda: {"R": form.entries.tolist(), "p": p.to_dict(), "q": q.to_dict()}
+
+    return _first_failure("conjugation-homomorphism", cases(), ATOL)
 
 
 SIGN_CHECK_SAMPLES = 4
@@ -411,67 +361,48 @@ def _sign_check_generators(m: int, rng: np.random.Generator):
 def check_clifford_signs(m: int, rng: np.random.Generator) -> CheckResult:
     """clifford_conjugate against dense conjugation by oracle.dense_unitary,
     for every binary label and every generator kind: the sign exactly, and
-    a label that also equals the row action of the generator's F."""
-    name = f"clifford-signs(m={m})"
-    checked = 0
-    max_dev = 0.0
-    for gen in _sign_check_generators(m, rng):
-        u = dense_unitary(gen)
-        for a, b in _binary_pairs(m):
-            label = PauliLabel(a, b)
-            sign, new = clifford_conjugate(gen, label)
-            lhs = conjugate_dense(u, dense_pauli(label))
-            dev = float(np.max(np.abs(lhs - sign * dense_pauli(new))))
-            max_dev = max(max_dev, dev)
-            checked += 1
-            if dev > ATOL or new != apply_symplectic(label, gen.F):
-                detail = {**gen.to_dict(), "a": a.tolist(), "b": b.tolist()}
-                return CheckResult(name, False, checked, max_dev, detail)
-    return CheckResult(name, True, checked, max_dev)
+    a label that also equals the row action of the generator's F (a label
+    mismatch counts as deviation 1)."""
+
+    def cases():
+        for gen in _sign_check_generators(m, rng):
+            u = dense_unitary(gen)
+            for a, b in _binary_pairs(m):
+                label = PauliLabel(a, b)
+                sign, new = clifford_conjugate(gen, label)
+                dev = _deviation(conjugate_dense(u, dense_pauli(label)), sign * dense_pauli(new))
+                dev = max(dev, float(new != apply_symplectic(label, gen.F)))
+                yield 1, dev, lambda: {**gen.to_dict(), "a": a.tolist(), "b": b.tolist()}
+
+    return _first_failure(f"clifford-signs(m={m})", cases(), ATOL)
 
 
 def check_hierarchy_membership(m: int, k: int) -> CheckResult:
     """Every canonical form at (m, k) builds a gate at level <= k."""
-    checked = 0
-    for form in enumerate_canonical_forms(m, k):
-        level = hierarchy_level(dense_diagonal(form), max_k=k)
-        checked += 1
-        if level is None or level > k:
-            return CheckResult(
-                f"hierarchy-membership(m={m},k={k})",
-                False,
-                checked,
-                1.0,
-                {"R": form.entries.tolist(), "level": level},
-            )
-    return CheckResult(f"hierarchy-membership(m={m},k={k})", True, checked)
+
+    def cases():
+        for form in enumerate_canonical_forms(m, k):
+            level = hierarchy_level(dense_diagonal(form), max_k=k)
+            yield 1, float(level is None or level > k), lambda: {
+                "R": form.entries.tolist(), "level": level}
+
+    return _first_failure(f"hierarchy-membership(m={m},k={k})", cases())
 
 
 def check_entry_list_injectivity(m: int, k: int) -> CheckResult:
-    """Distinct canonical forms give distinct exponent lists, exhaustively."""
-    seen = {}
-    checked = 0
-    for form in enumerate_canonical_forms(m, k):
-        key = tuple(diagonal_entries(form).tolist())
-        checked += 1
-        if key in seen:
-            return CheckResult(
-                f"entry-list-injectivity(m={m},k={k})",
-                False,
-                checked,
-                1.0,
-                {"R1": seen[key], "R2": form.entries.tolist()},
-            )
-        seen[key] = form.entries.tolist()
-    expected = group_order(m, k)
-    ok = len(seen) == expected
-    return CheckResult(
-        f"entry-list-injectivity(m={m},k={k})",
-        ok,
-        checked,
-        0.0 if ok else 1.0,
-        {} if ok else {"distinct": len(seen), "expected": expected},
-    )
+    """Distinct canonical forms give distinct exponent lists, exhaustively,
+    and there are group_order(m, k) of them (a final case of count 0)."""
+
+    def cases():
+        seen = {}
+        for form in enumerate_canonical_forms(m, k):
+            key = tuple(diagonal_entries(form).tolist())
+            yield 1, float(key in seen), lambda: {"R1": seen[key], "R2": form.entries.tolist()}
+            seen[key] = form.entries.tolist()
+        expected = group_order(m, k)
+        yield 0, float(len(seen) != expected), lambda: {"distinct": len(seen), "expected": expected}
+
+    return _first_failure(f"entry-list-injectivity(m={m},k={k})", cases())
 
 
 def check_group_axioms(
@@ -479,75 +410,21 @@ def check_group_axioms(
 ) -> CheckResult:
     """Associativity, commutativity, identity, inverse for the form sum."""
     zero = SymForm.zeros(m, k)
-    checked = 0
-    for _ in range(samples):
-        f = random_canonical_form(rng, m, k)
-        g = random_canonical_form(rng, m, k)
-        h = random_canonical_form(rng, m, k)
-        ok = (
-            group_add(group_add(f, g), h) == group_add(f, group_add(g, h))
-            and group_add(f, g) == group_add(g, f)
-            and group_add(f, zero) == f
-            and group_add(f, group_negate(f)) == zero
-        )
-        checked += 1
-        if not ok:
-            detail = {"f": f.entries.tolist(), "g": g.entries.tolist()}
-            return CheckResult("group-axioms", False, checked, 1.0, detail)
-    return CheckResult("group-axioms", True, checked)
 
-
-def check_synthesis_roundtrip(
-    m: int, k: int, rng: np.random.Generator | None = None, samples: int = 0
-) -> CheckResult:
-    """synthesize(diagonal_entries(f), f.k) == f, exhaustively or sampled."""
-    checked = 0
-    if samples and rng is not None:
-        forms = (random_canonical_form(rng, m, k) for _ in range(samples))
-    else:
-        forms = enumerate_canonical_forms(m, k)
-    for form in forms:
-        back = synthesize(diagonal_entries(form), form.k)
-        checked += 1
-        if back != form:
-            return CheckResult(
-                f"synthesis-roundtrip(m={m},k={k})",
-                False,
-                checked,
-                1.0,
-                {"R": form.entries.tolist(), "back": back.entries.tolist(), "k_back": back.k},
+    def cases():
+        for _ in range(samples):
+            f = random_canonical_form(rng, m, k)
+            g = random_canonical_form(rng, m, k)
+            h = random_canonical_form(rng, m, k)
+            ok = (
+                group_add(group_add(f, g), h) == group_add(f, group_add(g, h))
+                and group_add(f, g) == group_add(g, f)
+                and group_add(f, zero) == f
+                and group_add(f, group_negate(f)) == zero
             )
-    return CheckResult(f"synthesis-roundtrip(m={m},k={k})", True, checked)
+            yield 1, float(not ok), lambda: {"f": f.entries.tolist(), "g": g.entries.tolist()}
 
-
-def check_tensor_consistency(
-    samples: int, rng: np.random.Generator, tol: float = 1e-12
-) -> CheckResult:
-    """Dense tensor gate equals the Kronecker product of its factors."""
-    checked = 0
-    max_dev = 0.0
-    for _ in range(samples):
-        m = int(rng.integers(1, 3))
-        n = int(rng.integers(1, 3))
-        k = int(rng.integers(1, 5))
-        ell = int(rng.integers(1, k + 1))
-        f1 = random_canonical_form(rng, m, k)
-        f2 = random_canonical_form(rng, n, ell)
-        combined = tensor(f1, f2)
-        dense = dense_diagonal(combined)
-        expect = np.kron(dense_diagonal(f1), dense_diagonal(f2))
-        dev = float(np.max(np.abs(dense - expect)))
-        max_dev = max(max_dev, dev)
-        checked += 1
-        if dev > tol:
-            return CheckResult(
-                "tensor-consistency",
-                False,
-                checked,
-                max_dev,
-                {"R1": f1.entries.tolist(), "k1": f1.k, "R2": f2.entries.tolist(), "k2": f2.k},
-            )
-    return CheckResult("tensor-consistency", True, checked, max_dev)
+    return _first_failure("group-axioms", cases())
 
 
 def default_suites(

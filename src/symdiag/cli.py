@@ -183,6 +183,8 @@ def cmd_count(args) -> int:
 def cmd_verify(args) -> int:
     if not 1 <= args.m <= 4:
         raise CLIError("verification guard: m must be in 1..4")
+    if args.samples < 1:
+        raise CLIError("verification guard: samples must be >= 1")
     results = default_suites(
         m=args.m,
         k=args.k,

@@ -3,9 +3,9 @@
 Everything here builds explicit 2^m x 2^m operators straight from the
 definitions, independent of the symbolic calculus, and exists to verify
 it.  Entries of all constructed operators have magnitude 1 or 0, so a
-membership tolerance of 1e-8 (1e-12 for direct entry comparisons) leaves
-orders of magnitude of headroom at m <= 4.  The only state kept is
-read-only tables, one per qubit count up to that guard.
+membership tolerance of 1e-8 leaves orders of magnitude of headroom at
+m <= 4.  The only state kept is read-only tables, one per qubit count up
+to that guard.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from .pauli import PauliLabel
 
 #: tolerance for membership-style tests (hierarchy levels, sign resolution)
 ATOL = 1e-8
-#: tolerance for direct entrywise comparisons
-ENTRY_ATOL = 1e-12
 
 #: cost guard for generic dense construction
 MAX_DENSE_QUBITS = 4

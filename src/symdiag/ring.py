@@ -35,12 +35,6 @@ def modulus(k: int) -> int:
     return 1 << check_level(k, minimum=0)
 
 
-def residue(x, k: int):
-    """Canonical residue(s) of x modulo 2^k, in [0, 2^k)."""
-    r = as_integers(x) % modulus(k)
-    return int(r) if r.ndim == 0 else r
-
-
 def as_integers(x) -> np.ndarray:
     """x as an exact int64 array, refusing bool and non-integral entries.
 

@@ -10,8 +10,9 @@ parameters of its kind.  They are the transversal Hadamard, basis changes
 |v> -> |vQ>, Clifford diagonal phase layers (whose F is Gamma(R) at level
 2), and partial Hadamards on a suffix of the qubits.  clifford_conjugate
 maps a binary Pauli through any of them exactly, sign included, with one
-symbolic rule per kind; no dense matrix is built (oracle.dense_unitary
-builds one for verification).
+symbolic rule per kind; a phase layer's rule is apply_gamma plus a sign
+read off the second binary layer of its unreduced output.  No dense
+matrix is built (oracle.dense_unitary builds one for verification).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import ring
-from .diagonal import SymForm, _label_step, conjugate
+from .diagonal import SymForm, _label_step
 from .pauli import PauliLabel
 
 
@@ -228,8 +229,10 @@ def clifford_conjugate(gen: CliffordGen, label: PauliLabel) -> tuple[int, PauliL
       suffix qubits t..m-1 only.
     - L_Q: X^a Z^b -> X^a' Z^b' with a' = aQ, b' = bQ^-T (mod 2), so
       E(a, b) -> i^(a.b - a'.b') E(a', b').
-    - T_R: the level-2 conjugation by the form of R, whose residual is the
-      zero level-1 form, leaving i^phi E(label).
+    - T_R: the Gamma(R) row action gives w = b + aR (mod 4), and
+      E(a, b) -> (-1)^(a.w1) E(a, w mod 2) with w1 the second binary layer
+      of w.  This is the level-2 conjugation phase, whose global term
+      (1 - 2^(k-2)) aRa vanishes at k = 2.
     Each sign is i^e for an even e, since the image of a Hermitian Pauli
     under a Clifford is again Hermitian; an odd e raises AssertionError.
     """
@@ -247,8 +250,8 @@ def clifford_conjugate(gen: CliffordGen, label: PauliLabel) -> tuple[int, PauliL
         new = PauliLabel(a @ gen.F[:m, :m] % 2, b @ gen.F[m:, m:] % 2)
         e = int(a @ b) - int(new.a @ new.b)
     elif gen.kind == "T_R":
-        res = conjugate(gen.form, label)
-        e, new = res.phase_exponent, res.label
+        new, w = apply_gamma(label, gen.form)
+        e = 2 * int(a @ ((w >> 1) & 1))
     else:
         raise ValueError(f"unknown Clifford generator kind: {gen.kind!r}")
     if e % 2:

@@ -233,6 +233,10 @@ class TestVerify:
         for m in ("5", "0", "-1"):
             code, _, err = run(capsys, "verify", "--m", m)
             assert code == 1 and "verification guard: m must be in 1..4" in err
+        for samples in ("0", "-3"):
+            code, out, err = run(capsys, "verify", "--m", "1", "--k", "3", "--samples", samples)
+            assert code == 1 and "verification guard: samples must be >= 1" in err
+            assert "all checks passed" not in out
 
     def test_deterministic_given_seed(self, capsys):
         _, out1, _ = run(capsys, "verify", "--m", "1", "--k", "2", "--samples", "5", "--seed", "7", "--json")

@@ -44,11 +44,6 @@ def test_as_integers_is_strict():
         ring.as_integers([2**70])
 
 
-def test_residue_normalizes_negatives():
-    assert ring.residue(-1, 3) == 7
-    assert ring.residue(np.array([-1, 9]), 3).tolist() == [7, 1]
-
-
 def test_level_cap():
     with pytest.raises(ValueError):
         ring.check_level(ring.MAX_LEVEL + 1)
