@@ -23,7 +23,6 @@ from .diagonal import (
     group_negate,
     group_order,
     residual_exponent,
-    residual_exponent_consistent,
     residual_exponent_list,
     residual_form,
     standard_gate_table,
@@ -107,7 +106,6 @@ __all__ = [
     "partial_hadamard_generator",
     "phase_generator",
     "residual_exponent",
-    "residual_exponent_consistent",
     "residual_exponent_list",
     "residual_form",
     "run_circuit",

@@ -22,6 +22,7 @@ import numpy as np
 from . import ring
 from .diagonal import (
     SymForm,
+    basis_index,
     conjugate,
     diagonal_entries,
     enumerate_canonical_forms,
@@ -46,6 +47,7 @@ from .symplectic import (
     apply_symplectic,
     basis_change_generator,
     clifford_conjugate,
+    gamma_matrix,
     hadamard_generator,
     partial_hadamard_generator,
     phase_generator,
@@ -97,9 +99,9 @@ def random_int_vector(rng: np.random.Generator, m: int, layers: int = 2) -> np.n
     return rng.integers(0, 1 << layers, size=m, dtype=np.int64)
 
 
-def _binary_pairs(m: int):
+def _binary_labels(m: int) -> list[PauliLabel]:
     V = index_vectors(m)
-    return [(a, b) for a in V for b in V]
+    return [PauliLabel(a, b) for a in V for b in V]
 
 
 def _xi(k: int) -> complex:
@@ -124,19 +126,18 @@ def check_conjugation_exactness(
     flip_phase: bool = False,
 ) -> CheckResult:
     """Dense equality of both sides of the conjugation identity."""
-    pairs = _binary_pairs(m)
+    labels = _binary_labels(m)
 
     def cases():
         for _ in range(samples):
             form = random_canonical_form(rng, m, k)
             u = dense_diagonal(form)
-            use = pairs if exhaustive_paulis else [
-                pairs[rng.integers(len(pairs))] for _ in range(4)]
-            for a, b in use:
-                p = PauliLabel(a, b)
+            use = labels if exhaustive_paulis else [
+                labels[rng.integers(len(labels))] for _ in range(4)]
+            for p in use:
                 lhs = conjugate_dense(u, dense_pauli(p))
                 dev = _deviation(lhs, reconstruct_dense(form, p, flip_phase=flip_phase))
-                yield 1, dev, lambda: {"R": form.entries.tolist(), "a": a.tolist(), "b": b.tolist()}
+                yield 1, dev, lambda: {"R": form.entries.tolist(), **p.to_dict()}
 
     return _first_failure(f"conjugation-exactness(m={m},k={k})", cases(), tol)
 
@@ -171,22 +172,21 @@ def check_level2_exponents_vanish(m: int) -> CheckResult:
     """At k = 2 with binary labels the residual exponent is 0 mod 4,
     exhaustively over canonical forms, labels, and basis states."""
 
+    labels = _binary_labels(m)
+
     def cases():
         for form in enumerate_canonical_forms(m, 2):
-            for a, b in _binary_pairs(m):
-                vals = residual_exponent_list(form, a, b)
+            for p in labels:
+                vals = residual_exponent_list(form, p)
                 yield len(vals), float(np.max(vals % 4)), lambda: {
-                    "R": form.entries.tolist(), "a": a.tolist(), "b": b.tolist()}
+                    "R": form.entries.tolist(), **p.to_dict()}
 
     return _first_failure(f"level2-exponents-vanish(m={m})", cases())
 
 
 def _shifted(vals: np.ndarray, e0) -> np.ndarray:
     """Exponent list at shifted argument: entry v picks up value at v XOR e0."""
-    shift = 0
-    for x in e0:
-        shift = (shift << 1) | int(x)
-    return vals[np.arange(len(vals)) ^ shift]
+    return vals[np.arange(len(vals)) ^ basis_index(e0)]
 
 
 def _shift_additivity_cases(samples, rng, m, k, carry_free):
@@ -202,14 +202,15 @@ def _shift_additivity_cases(samples, rng, m, k, carry_free):
         if carry_free and (np.any(a0 * c0) or np.any(b0 * d0)):
             continue
         drawn += 1
-        qa = residual_exponent_list(form, a, b)
-        qc = residual_exponent_list(form, c, d)
+        qa = residual_exponent_list(form, PauliLabel(a, b))
+        qc = residual_exponent_list(form, PauliLabel(c, d))
         lhs = (_shifted(qa, c0) + qc) % M
         a1, b1 = (a >> 1) & 1, (b >> 1) & 1
         c1, d1 = (c >> 1) & 1, (d >> 1) & 1
         cross = int(b0 @ c1) + int(b1 @ c0) - int(a0 @ d1) - int(a1 @ d0)
         carry = int((a0 + c0) @ (b0 * d0)) + int((b0 + d0) @ (a0 * c0))
-        rhs = (residual_exponent_list(form, a + c, b + d) + (1 << (k - 1)) * (cross + carry)) % M
+        qac = residual_exponent_list(form, PauliLabel(a + c, b + d))
+        rhs = (qac + (1 << (k - 1)) * (cross + carry)) % M
         ok = np.all(lhs == rhs) and (carry_free or np.all(lhs == (qa + _shifted(qc, a0)) % M))
         yield 1, float(not ok), lambda: {
             "R": form.entries.tolist(), "a": a.tolist(), "b": b.tolist(),
@@ -252,9 +253,9 @@ def check_shift_difference_symmetry(
             a, b = random_int_vector(rng, m), random_int_vector(rng, m)
             c = rng.integers(0, 2, size=m, dtype=np.int64)
             a0 = a & 1
-            qa = residual_exponent_list(form, a, b)
-            qa0 = residual_exponent_list(form, a0, zero)
-            qc = residual_exponent_list(form, c, zero)
+            qa = residual_exponent_list(form, PauliLabel(a, b))
+            qa0 = residual_exponent_list(form, PauliLabel(a0, zero))
+            qc = residual_exponent_list(form, PauliLabel(c, zero))
             delta_ac = (_shifted(qa, c) - qa) % M
             delta_a0c = (_shifted(qa0, c) - qa0) % M
             delta_ca = (_shifted(qc, a0) - qc) % M
@@ -277,7 +278,7 @@ def check_exponent_conjugation_shift(
             form = random_canonical_form(rng, m, k)
             a, b = random_int_vector(rng, m), random_int_vector(rng, m)
             e, f = random_int_vector(rng, m), random_int_vector(rng, m)
-            vals = residual_exponent_list(form, a, b)
+            vals = residual_exponent_list(form, PauliLabel(a, b))
             shifted = _shifted(vals, e & 1)
             diag = np.diag(xi ** vals.astype(complex))
             ep = dense_pauli(PauliLabel(e, f))
@@ -291,7 +292,10 @@ def check_sandwich_product_identity(
     samples: int, rng: np.random.Generator, m: int = 2, k: int = 3
 ) -> CheckResult:
     """Dense sandwiched-product identity with e = b0 + a0 R, f = d0 + c0 R,
-    the unreduced labels of the row action of Gamma(R)."""
+    the unreduced labels of the row action of Gamma(R).  Its sign sees a0 R c0
+    twice and the second layers never, so e and f are also compared with the
+    rows [a0, b0] Gamma(R), [c0, d0] Gamma(R) mod 2^k (deviation 1 if not)."""
+    M = 1 << k
 
     def cases():
         for _ in range(samples):
@@ -308,6 +312,8 @@ def check_sandwich_product_identity(
             pa = dense_pauli(PauliLabel(a0, e))
             pc = dense_pauli(PauliLabel(c0, f))
             dev = _deviation(conj_cd @ conj_ab, (pa @ conj_cd @ pa) @ (pc @ conj_ab @ pc))
+            rows = np.block([[a0, b0], [c0, d0]]) @ gamma_matrix(form) % M
+            dev = max(dev, float(not np.array_equal(rows[:, m:], [e, f])))
             yield 1, dev, lambda: {
                 "R": form.entries.tolist(), "a": a.tolist(), "b": b.tolist(),
                 "c": c.tolist(), "d": d.tolist()}
@@ -367,12 +373,11 @@ def check_clifford_signs(m: int, rng: np.random.Generator) -> CheckResult:
     def cases():
         for gen in _sign_check_generators(m, rng):
             u = dense_unitary(gen)
-            for a, b in _binary_pairs(m):
-                label = PauliLabel(a, b)
+            for label in _binary_labels(m):
                 sign, new = clifford_conjugate(gen, label)
                 dev = _deviation(conjugate_dense(u, dense_pauli(label)), sign * dense_pauli(new))
                 dev = max(dev, float(new != apply_symplectic(label, gen.F)))
-                yield 1, dev, lambda: {**gen.to_dict(), "a": a.tolist(), "b": b.tolist()}
+                yield 1, dev, lambda: {**gen.to_dict(), **label.to_dict()}
 
     return _first_failure(f"clifford-signs(m={m})", cases(), ATOL)
 

@@ -9,7 +9,9 @@ Conjugating a Hermitian Pauli by such a gate yields a global phase, a new
 Pauli label, and a residual diagonal gate one level down, giving a recursion
 that bottoms out in plain Pauli sign flips.  This module implements that
 calculus exactly: evaluation, conjugation, tensor composition, the group law
-on forms, and synthesis of a form from a target exponent list.
+on forms, and synthesis of a form from a target exponent list.  Labels
+come in as PauliLabel values, validated once when they were built: the
+conjugation functions check only that a label and a form share m.
 """
 
 from __future__ import annotations
@@ -199,17 +201,14 @@ def xor_carry(v, form: SymForm, w) -> int:
     return int(((v + w) - meet) @ form.entries @ meet) % ring.modulus(form.k)
 
 
-def _label_layers(form: SymForm, a, b):
-    """Parity and second binary layers of a label pair, length-checked."""
-    a = ring.as_int_vector(a)
-    b = ring.as_int_vector(b)
-    ring.require_same_length(a, b)
-    if len(a) != form.m:
-        raise ValueError(f"length mismatch: label on {len(a)}, form on {form.m}")
-    return a & 1, (a >> 1) & 1, b & 1, (b >> 1) & 1
+def _layers(form: SymForm, p: PauliLabel):
+    """Binary layers a0, a1, b0, b1 of p, after the one dimension check."""
+    if p.m != form.m:
+        raise ValueError(f"dimension mismatch: Pauli on {p.m}, form on {form.m}")
+    return p.a & 1, (p.a >> 1) & 1, p.b & 1, (p.b >> 1) & 1
 
 
-def _residual_exponents(V: np.ndarray, form: SymForm, a, b) -> np.ndarray:
+def _residual_exponents(V: np.ndarray, form: SymForm, p: PauliLabel) -> np.ndarray:
     """Residual exponents at the basis rows of V (levels k >= 2).
 
     The constant part is the global phase exponent; the row-dependent part
@@ -217,10 +216,8 @@ def _residual_exponents(V: np.ndarray, form: SymForm, a, b) -> np.ndarray:
     form one level down.
     """
     k = form.k
-    if k < 2:
-        raise ValueError("residual exponent needs level k >= 2")
-    phi = global_phase_exponent(form, a, b)
-    a0 = ring.as_int_vector(a) & 1
+    phi = global_phase_exponent(form, p)
+    a0 = p.a & 1
     R = form.entries
     meet = V * a0
     carry = np.einsum("ij,jk,ik->i", V + a0 - meet, R, meet)
@@ -228,25 +225,25 @@ def _residual_exponents(V: np.ndarray, form: SymForm, a, b) -> np.ndarray:
     return vals % ring.modulus(k)
 
 
-def residual_exponent(v, form: SymForm, a, b) -> int:
-    """Exponent at basis state v of the residual diagonal after conjugation."""
+def residual_exponent(v, form: SymForm, p: PauliLabel) -> int:
+    """Exponent at basis state v of the residual diagonal after conjugating E(p)."""
     v = ring.as_bit_vector(v)
     if len(v) != form.m:
         raise ValueError(f"length mismatch: vector of {len(v)} vs form on {form.m}")
-    return int(_residual_exponents(v[None, :], form, a, b)[0])
+    return int(_residual_exponents(v[None, :], form, p)[0])
 
 
-def residual_exponent_list(form: SymForm, a, b) -> np.ndarray:
+def residual_exponent_list(form: SymForm, p: PauliLabel) -> np.ndarray:
     """residual_exponent over all basis vectors, in index order."""
-    return _residual_exponents(index_vectors(form.m), form, a, b)
+    return _residual_exponents(index_vectors(form.m), form, p)
 
 
-def global_phase_exponent(form: SymForm, a, b) -> int:
-    """The v-independent part of the residual exponent (levels k >= 2)."""
+def global_phase_exponent(form: SymForm, p: PauliLabel) -> int:
+    """The v-independent part of the residual exponent of E(p) (levels k >= 2)."""
     k = form.k
     if k < 2:
         raise ValueError("global phase exponent needs level k >= 2")
-    a0, a1, b0, b1 = _label_layers(form, a, b)
+    a0, a1, b0, b1 = _layers(form, p)
     R = form.entries
     val = (1 - (1 << (k - 2))) * int(a0 @ R @ a0) + (1 << (k - 1)) * (
         int(a0 @ b1) + int(b0 @ a1)
@@ -261,8 +258,8 @@ def _label_step(form: SymForm, a0: np.ndarray, b0: np.ndarray) -> np.ndarray:
     return (b0 + a0 @ form.entries) % ring.modulus(max(form.k, 1))
 
 
-def residual_form(form: SymForm, a) -> SymForm:
-    """Symmetric form of the residual diagonal gate, one level down.
+def residual_form(form: SymForm, p: PauliLabel) -> SymForm:
+    """Symmetric form of the residual diagonal gate of E(p), one level down.
 
     Off the diagonal, R'_ij = -R_ij (a0_i XOR a0_j); on it,
     R'_ii = (1 + 2^(k-2) - 2 a0_i) (a0 R)_i.  Canonical at level k-1;
@@ -271,9 +268,7 @@ def residual_form(form: SymForm, a) -> SymForm:
     k = form.k
     if k < 2:
         raise ValueError("residual form needs level k >= 2")
-    a0 = ring.as_int_vector(a) & 1
-    if len(a0) != form.m:
-        raise ValueError(f"length mismatch: vector of {len(a0)} vs form on {form.m}")
+    a0 = _layers(form, p)[0]
     R = form.entries
     raw = -R * (a0[:, None] ^ a0[None, :])
     np.fill_diagonal(raw, ((1 + (1 << (k - 2))) - 2 * a0) * (a0 @ R))
@@ -292,34 +287,21 @@ def conjugate(form: SymForm, p: PauliLabel) -> ConjugationResult:
     label passes through unchanged and only a sign remains; the residual
     is the empty level-0 form.
     """
-    if p.m != form.m:
-        raise ValueError(f"dimension mismatch: Pauli on {p.m}, form on {form.m}")
     k = form.k
+    a0, a1, b0, b1 = _layers(form, p)
     if k < 1:
         raise ValueError("conjugation needs level k >= 1")
-    a0, a1, b0, b1 = _label_layers(form, p.a, p.b)
     if k == 1:
         d = form.entries.diagonal()
         phi = (int(a0 @ d) + int(a0 @ b1) + int(a1 @ b0)) % 2
         label = PauliLabel(a0, b0)
         return ConjugationResult(1, phi, label, SymForm.zeros(form.m, 0))
     M = ring.modulus(k)
-    phi = global_phase_exponent(form, p.a, p.b)
+    phi = global_phase_exponent(form, p)
     w = _label_step(form, a0, b0)
     phi = (phi + (1 << (k - 1)) * int(a0 @ ((w >> 1) & 1))) % M
     label = PauliLabel(a0, w & 1)
-    return ConjugationResult(k, phi, label, residual_form(form, p.a))
-
-
-def residual_exponent_consistent(v, form: SymForm, a, b) -> bool:
-    """Check residual_exponent == global phase + 2 v R' v^T  (mod 2^k)."""
-    k = form.k
-    q = residual_exponent(v, form, a, b)
-    phi = global_phase_exponent(form, a, b)
-    rt = residual_form(form, a)
-    v = ring.as_bit_vector(v)
-    rhs = (phi + 2 * int(v @ rt.entries @ v)) % ring.modulus(k)
-    return q == rhs
+    return ConjugationResult(k, phi, label, residual_form(form, p))
 
 
 def full_recursion_trace(form: SymForm, p: PauliLabel) -> list[ConjugationResult]:

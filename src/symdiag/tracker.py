@@ -119,8 +119,6 @@ def apply_diagonal(gens: list[StructuredGenerator], form: SymForm) -> list[Struc
     dense_layer = functools.cache(lambda: dense_diagonal(form))
     out = []
     for g in gens:
-        if g.m != form.m:
-            raise ValueError(f"dimension mismatch: generator on {g.m}, form on {form.m}")
         res = conjugate(form, g.label)
         num, den = _add_phase(g.phase_num, g.phase_log2_den, res.phase_exponent, form.k)
         fresh = None if res.residual.is_zero() else res.residual
@@ -153,13 +151,15 @@ def _conjugate_residual(residual, layer: CliffordGen, dense_layer):
     if layer.kind == "L_Q":
         # |v> -> |vQ> relabels the quadratic form to Q^-1 R Q^-T; exact for
         # permutations at any level, and for any invertible Q up to level 2
-        # (XOR carries only surface at level 3 and above)
+        # (XOR carries only surface at level 3 and above); the products run
+        # in float64 for BLAS and stay exact, as every partial sum of binary
+        # qi times entries below 4 is far below 2^53
         if layer.perm is not None:
             p = layer.perm
             return SymForm(residual.entries[p][:, p], residual.k)
         if residual.k <= 2:
-            qi = layer.F[layer.m :, layer.m :].T
-            return SymForm(qi @ residual.entries @ qi.T, residual.k)
+            qi = layer.F[layer.m :, layer.m :].T.astype(np.float64)
+            return SymForm((qi @ residual.entries @ qi.T).astype(np.int64), residual.k)
     return conjugate_dense(dense_layer(), dense_diagonal(residual))
 
 
@@ -188,8 +188,6 @@ def apply_clifford(
 
     out = []
     for g in gens:
-        if g.m != layer.m:
-            raise ValueError(f"dimension mismatch: generator on {g.m}, layer on {layer.m}")
         sign, new_label = clifford_conjugate(layer, g.label)
         residual = _conjugate_residual(g.residual, layer, dense_layer)
         out.append(

@@ -66,7 +66,7 @@ def _sign_flipped_product(orig):
 
 
 def _plus(offset):
-    return lambda orig: lambda form, a, b: orig(form, a, b) + offset(len(orig(form, a, b)))
+    return lambda orig: lambda form, p: orig(form, p) + offset(len(orig(form, p)))
 
 
 def _rng(seed=3):
@@ -95,6 +95,13 @@ FAULTS = [
     (lambda: checks.check_sandwich_product_identity(5, _rng(2)), checks, "apply_gamma",
      lambda orig: lambda label, form: (orig(label, form)[0], orig(label, form)[1] ^ 1),
      "sandwich-product-identity", 1, {"R", "a", "b", "c", "d"}),
+    # the row action without its a0 R term, and without its second binary layer
+    (lambda: checks.check_sandwich_product_identity(5, _rng(2)), checks, "apply_gamma",
+     lambda orig: lambda label, form: (label, label.b),
+     "sandwich-product-identity", 1, {"R", "a", "b", "c", "d"}),
+    (lambda: checks.check_sandwich_product_identity(5, _rng(2)), checks, "apply_gamma",
+     lambda orig: lambda label, form: (orig(label, form)[0], orig(label, form)[1] & 1),
+     "sandwich-product-identity", 1, {"R", "a", "b", "c", "d"}),
     (lambda: checks.check_conjugation_homomorphism(5, _rng()), checks, "multiply",
      _sign_flipped_product, "conjugation-homomorphism", 1, {"R", "p", "q"}),
     (lambda: checks.check_clifford_signs(1, _rng()), checks, "clifford_conjugate",
@@ -111,8 +118,16 @@ FAULTS = [
 ]
 
 
+def _fault_ids(rows):
+    """The check's name; a check's second and later faults add a number."""
+    seen = {}
+    for row in rows:
+        seen[row[4]] = seen.get(row[4], 0) + 1
+        yield row[4] if seen[row[4]] == 1 else f"{row[4]}-{seen[row[4]]}"
+
+
 @pytest.mark.parametrize("check, module, attr, fault, name, checked, keys", FAULTS,
-                         ids=[row[4] for row in FAULTS])
+                         ids=list(_fault_ids(FAULTS)))
 def test_injected_fault_fails_first_case(monkeypatch, check, module, attr, fault, name,
                                          checked, keys):
     assert check().passed

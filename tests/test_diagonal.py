@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symdiag import oracle
+from symdiag import oracle, ring
 from symdiag.checks import random_canonical_form
 from symdiag.diagonal import (
     ConjugationResult,
@@ -18,7 +18,6 @@ from symdiag.diagonal import (
     group_order,
     index_vectors,
     residual_exponent,
-    residual_exponent_consistent,
     residual_exponent_list,
     residual_form,
     standard_gate_table,
@@ -167,6 +166,16 @@ class TestXorCarry:
             assert xor_carry(v, form, w) == int(v @ proj @ v) % M
 
 
+def _random_residual_cases(m, forms_per_level):
+    rng = np.random.default_rng(m)
+    for k in range(3, 7):
+        for _ in range(forms_per_level):
+            upper = np.triu(rng.integers(0, 1 << k, size=(m, m)), 1)
+            form = SymForm(upper + upper.T + np.diag(rng.integers(0, 1 << k, m)), k)
+            p = PauliLabel(rng.integers(0, 4, m), rng.integers(0, 4, m))
+            yield form, p, rng.integers(0, 2, size=(8, m))
+
+
 class TestResidualExponent:
     def test_level2_always_vanishes_mod4(self):
         for form in enumerate_canonical_forms(2, 2):
@@ -174,47 +183,69 @@ class TestResidualExponent:
                 for b in range(4):
                     av = np.array([(a >> 1) & 1, a & 1])
                     bv = np.array([(b >> 1) & 1, b & 1])
-                    assert np.all(residual_exponent_list(form, av, bv) % 4 == 0)
+                    p = PauliLabel(av, bv)
+                    assert np.all(residual_exponent_list(form, p) % 4 == 0)
 
     def test_t_gate_values(self):
-        assert residual_exponent([0], T_FORM, [1], [0]) == 7
-        assert residual_exponent([1], T_FORM, [1], [0]) == 1
+        assert residual_exponent([0], T_FORM, X1) == 7
+        assert residual_exponent([1], T_FORM, X1) == 1
 
     def test_z_type_gives_zero(self):
         form = SymForm(((3, 2), (2, 5)), 4)
-        assert np.all(residual_exponent_list(form, [0, 0], [1, 1]) == 0)
+        assert np.all(residual_exponent_list(form, PauliLabel((0, 0), (1, 1))) == 0)
 
     def test_rejects_level_one(self):
         with pytest.raises(ValueError):
-            residual_exponent([0], SymForm(((1,),), 1), [1], [0])
+            residual_exponent([0], SymForm(((1,),), 1), X1)
 
-    def test_recursion_consistency(self):
-        assert residual_exponent_consistent([0], T_FORM, [1], [0])
-        assert residual_exponent_consistent([1], T_FORM, [1], [0])
-        assert residual_exponent_consistent([1, 0], SymForm.zeros(2, 3), [0, 0], [1, 0])
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            form = random_canonical_form(rng, 3, 4)
-            a = rng.integers(0, 4, 3)
-            b = rng.integers(0, 4, 3)
-            v = rng.integers(0, 2, 3)
-            assert residual_exponent_consistent(v, form, a, b)
-
-    @pytest.mark.parametrize("m", [64, 256])
+    @pytest.mark.parametrize("m", ["T", "zero", 3, 64, 256])
     def test_residual_form_exact_at_large_m(self, m):
-        # the dense sweeps stop at m <= 3: check the mask-built residual form
-        # against the carry formula of residual_exponent at bench sizes
-        rng = np.random.default_rng(m)
-        for k in range(3, 7):
-            upper = np.triu(rng.integers(0, 1 << k, size=(m, m)), 1)
-            form = SymForm(upper + upper.T + np.diag(rng.integers(0, 1 << k, m)), k)
-            a = rng.integers(0, 4, m)
-            b = rng.integers(0, 4, m)
-            phi = global_phase_exponent(form, a, b)
-            R_next = residual_form(form, a).entries
-            for v in rng.integers(0, 2, size=(8, m)):
-                expected = (phi + 2 * int(v @ R_next @ v)) % (1 << k)
-                assert residual_exponent(v, form, a, b) == expected
+        # residual_exponent == global phase + 2 v R' v^T (mod 2^k): the
+        # mask-built residual form against the carry formula, from the T gate
+        # on X and a zero form through m=3 to bench sizes, where the dense
+        # sweeps (m <= 3) cannot reach
+        if m == "T":
+            cases = [(T_FORM, X1, [[0], [1]])]
+        elif m == "zero":
+            cases = [(SymForm.zeros(2, 3), PauliLabel((0, 0), (1, 0)), [[1, 0]])]
+        else:
+            cases = _random_residual_cases(m, 12 if m == 3 else 1)
+        for form, p, vs in cases:
+            phi = global_phase_exponent(form, p)
+            R_next = residual_form(form, p).entries
+            for v in np.asarray(vs):
+                expected = (phi + 2 * int(v @ R_next @ v)) % (1 << form.k)
+                assert residual_exponent(v, form, p) == expected
+
+
+class TestLabelBoundary:
+    """Labels are validated once, when built: the conjugation recursion
+    never coerces them again and checks only their length against m."""
+
+    CALLS = {
+        "conjugate": conjugate,
+        "full_recursion_trace": full_recursion_trace,
+        "global_phase_exponent": global_phase_exponent,
+        "residual_form": residual_form,
+        "residual_exponent_list": lambda form, p: residual_exponent_list(form, p).tolist(),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_valid_label_is_not_coerced_again(self, monkeypatch, name):
+        form, p = CZ_FORM, PauliLabel((1, 3), (2, 1))
+        expected = self.CALLS[name](form, p)
+
+        def refuse(x):
+            raise AssertionError("label coerced again")
+
+        monkeypatch.setattr(ring, "as_int_vector", refuse)
+        got = self.CALLS[name](form, p)
+        assert got == expected
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_wrong_length_label_raises(self, name):
+        with pytest.raises(ValueError, match="^dimension mismatch: Pauli on 1, form on 2$"):
+            self.CALLS[name](CZ_FORM, X1)
 
 
 class TestConjugate:

@@ -192,6 +192,6 @@ def test_unreduced_gamma_output_carries_the_conjugation_sign():
         assert res.label == reduced
         w1 = (unreduced >> 1) & 1
         expected = (
-            global_phase_exponent(form, a0, b0) + (1 << (k - 1)) * int(a0 @ w1)
+            global_phase_exponent(form, label) + (1 << (k - 1)) * int(a0 @ w1)
         ) % (1 << k)
         assert res.phase_exponent == expected

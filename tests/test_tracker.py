@@ -234,39 +234,50 @@ class TestVerifyAgainstOracle:
             verify_against_oracle(Circuit(4, 3, []))
 
 
+def _rep(m, block):
+    """A 2-qubit block repeated on each of the m/2 disjoint qubit pairs."""
+    return np.kron(np.eye(m // 2, dtype=np.int64), np.array(block, dtype=np.int64))
+
+
 def _replicated_circuit(m):
     """One 2-qubit circuit on each of the m/2 disjoint pairs: H, a level-4
     layer, a phase layer, a SWAP, the trivial partial Hadamard and a level-3
     layer, with block-diagonal R, B and Q."""
-
-    def rep(block):
-        return np.kron(np.eye(m // 2, dtype=np.int64), np.array(block, dtype=np.int64))
-
     return Circuit(
         m,
         4,
         [
             hadamard_generator(m),
-            SymForm(rep([[1, 3], [3, 5]]), 4),
-            phase_generator(rep([[1, 1], [1, 0]])),
-            basis_change_generator(rep(SWAP)),
+            SymForm(_rep(m, [[1, 3], [3, 5]]), 4),
+            phase_generator(_rep(m, [[1, 1], [1, 0]])),
+            basis_change_generator(_rep(m, SWAP)),
             partial_hadamard_generator(m, m),
-            SymForm(rep([[3, 1], [1, 6]]), 3),
+            SymForm(_rep(m, [[3, 1], [1, 6]]), 3),
         ],
     )
 
 
-@pytest.mark.parametrize("m", [64, 256])
-def test_symbolic_circuit_at_scale_matches_its_blocks(m):
-    small = run_circuit(_replicated_circuit(2))
-    assert verify_against_oracle(_replicated_circuit(2))["ok"]
-    assert all(isinstance(g.residual, SymForm) for g in small)
-    start = time.process_time()
-    big = run_circuit(_replicated_circuit(m))
-    # symbolic layers and per-layer constants: no dense work, and no
-    # Q^-1 R Q^-T products per generator for the permutation layer
-    assert time.process_time() - start < 3.0
+def _cnot_relabel_circuit(m):
+    """H, a level-3 layer and a CNOT on every pair: the CNOT is not a
+    permutation, so it relabels each level-2 residual by Q^-1 R Q^-T."""
+    return Circuit(
+        m,
+        3,
+        [
+            hadamard_generator(m),
+            SymForm(_rep(m, [[1, 1], [1, 3]]), 3),
+            basis_change_generator(_rep(m, CNOT)),
+        ],
+    )
+
+
+def _assert_matches_its_blocks(big, build, m):
+    """Compare each generator of a run of build(m) with the oracle-checked
+    run of build(2) on its own pair."""
     assert len(big) == m
+    small = run_circuit(build(2))
+    assert verify_against_oracle(build(2))["ok"]
+    assert all(isinstance(g.residual, SymForm) for g in small)
     for j, g in enumerate(big):
         s = small[j % 2]
         block = slice(j - j % 2, j - j % 2 + 2)
@@ -277,6 +288,28 @@ def test_symbolic_circuit_at_scale_matches_its_blocks(m):
         R = np.zeros((m, m), dtype=np.int64)
         R[block, block] = s.residual.entries
         assert g.residual == SymForm(R, s.residual.k)
+
+
+@pytest.mark.parametrize("m", [64, 256])
+def test_symbolic_circuit_at_scale_matches_its_blocks(m):
+    start = time.process_time()
+    big = run_circuit(_replicated_circuit(m))
+    # symbolic layers and per-layer constants: no dense work, and no
+    # Q^-1 R Q^-T products per generator for the permutation layer
+    assert time.process_time() - start < 3.0
+    _assert_matches_its_blocks(big, _replicated_circuit, m)
+
+
+def test_cnot_relabel_at_scale_matches_its_blocks():
+    *layers, cnot = _cnot_relabel_circuit(128).layers
+    gens = run_circuit(Circuit(128, 3, layers))
+    start = time.thread_time()
+    big = apply_clifford(gens, cnot)
+    # 128 relabels Q^-1 R Q^-T in BLAS float64; int64 products, which get
+    # no BLAS, take about 5 ms each at this size.  The calling thread's CPU
+    # time, since idle BLAS workers spin and inflate the process's total
+    assert time.thread_time() - start < 0.3
+    _assert_matches_its_blocks(big, _cnot_relabel_circuit, 128)
 
 
 def test_demotion_above_dense_guard_names_the_layer():
