@@ -17,12 +17,12 @@ from .diagonal import (
     conjugate,
     diagonal_entries,
     enumerate_canonical_forms,
+    form_level,
     full_recursion_trace,
     global_phase_exponent,
     group_add,
     group_negate,
     group_order,
-    residual_exponent,
     residual_exponent_list,
     residual_form,
     standard_gate_table,
@@ -36,10 +36,11 @@ from .oracle import (
     dense_pauli,
     dense_unitary,
     equal_up_to_global_phase,
+    diagonal_level,
     hierarchy_level,
 )
-from .pauli import PauliLabel, PhasedPauli, commutes, multiply, normalize_label, symplectic_inner
-from .ring import binary_expansion, xor_as_ring
+from .pauli import PauliLabel, PhasedPauli, commutes, multiply, symplectic_inner
+from .ring import xor_as_ring
 from .symplectic import (
     CliffordGen,
     apply_gamma,
@@ -78,7 +79,6 @@ __all__ = [
     "apply_diagonal",
     "apply_gamma",
     "basis_change_generator",
-    "binary_expansion",
     "ccz_companion",
     "circuit_from_dict",
     "circuit_to_dict",
@@ -90,7 +90,9 @@ __all__ = [
     "dense_pauli",
     "dense_unitary",
     "diagonal_entries",
+    "diagonal_level",
     "enumerate_canonical_forms",
+    "form_level",
     "equal_up_to_global_phase",
     "full_recursion_trace",
     "gamma_matrix",
@@ -102,10 +104,8 @@ __all__ = [
     "hierarchy_level",
     "initial_stabilizer",
     "multiply",
-    "normalize_label",
     "partial_hadamard_generator",
     "phase_generator",
-    "residual_exponent",
     "residual_exponent_list",
     "residual_form",
     "run_circuit",

@@ -7,9 +7,9 @@ adds up the counts (1 per case, or the basis states a case covers),
 `max_deviation` is the largest deviation seen, and the run stops at the
 first case whose deviation exceeds the tolerance, reporting its detail.
 The detail is a thunk, called only for that failing case.  All
-identities are exact: a modular check has tolerance 0 and deviation 1.0
-on a mismatch (its largest residue for the mod-4 check), and a dense
-check compares complex matrices entrywise within oracle.ATOL.
+identities are exact: a modular or level check has tolerance 0 and
+deviation 1.0 on a mismatch (its largest residue for the mod-4 check),
+and a dense check compares complex matrices entrywise within oracle.ATOL.
 """
 
 from __future__ import annotations
@@ -26,20 +26,23 @@ from .diagonal import (
     conjugate,
     diagonal_entries,
     enumerate_canonical_forms,
+    form_level,
     group_add,
     group_negate,
     group_order,
     index_vectors,
     residual_exponent_list,
+    residual_form,
     xor_carry,
 )
 from .oracle import (
     ATOL,
     conjugate_dense,
     dense_diagonal,
+    dense_exponents,
     dense_pauli,
     dense_unitary,
-    hierarchy_level,
+    diagonal_level,
 )
 from .pauli import PauliLabel, multiply
 from .symplectic import (
@@ -383,15 +386,45 @@ def check_clifford_signs(m: int, rng: np.random.Generator) -> CheckResult:
 
 
 def check_hierarchy_membership(m: int, k: int) -> CheckResult:
-    """Every canonical form at (m, k) builds a gate at level <= k."""
+    """Every canonical form at (m, k) builds a gate whose level, decided by
+    the oracle's shift-difference recursion on its own exponent list
+    (oracle.diagonal_level, capped at k), equals the closed-form
+    form_level read off its entries."""
 
     def cases():
         for form in enumerate_canonical_forms(m, k):
-            level = hierarchy_level(dense_diagonal(form), max_k=k)
-            yield 1, float(level is None or level > k), lambda: {
+            level = diagonal_level(dense_exponents(form), k, k)
+            yield 1, float(level != form_level(form)), lambda: {
                 "R": form.entries.tolist(), "level": level}
 
     return _first_failure(f"hierarchy-membership(m={m},k={k})", cases())
+
+
+def check_form_level_recursion(m: int, k: int) -> CheckResult:
+    """form_level equals the level the paper's residual recursion gives,
+    for every canonical form at (m, k).  A form is at level 1 when its gate
+    is a Z-type Pauli up to phase: off-diagonal entries 0 and each
+    diagonal entry a multiple of 2^(k-1).  Otherwise its level is 1 plus
+    the largest level among the residuals of E(a0, 0), a0 != 0.  Not in
+    default_suites; residual levels are memoised within one call."""
+    zero = np.zeros(m, dtype=np.int64)
+    shifts = [PauliLabel(a0, zero) for a0 in index_vectors(m)[1:]]
+    memo: dict[SymForm, int] = {}
+
+    def level(form: SymForm) -> int:
+        if form not in memo:
+            R, d = form.entries, form.entries.diagonal()
+            pauli = not np.any(R - np.diag(d)) and not np.any(d % (1 << (form.k - 1)))
+            memo[form] = 1 if pauli else 1 + max(level(residual_form(form, p)) for p in shifts)
+        return memo[form]
+
+    def cases():
+        for form in enumerate_canonical_forms(m, k):
+            closed, recursion = form_level(form), level(form)
+            yield 1, float(closed != recursion), lambda: {
+                "R": form.entries.tolist(), "level": closed, "recursion": recursion}
+
+    return _first_failure(f"form-level-recursion(m={m},k={k})", cases())
 
 
 def check_entry_list_injectivity(m: int, k: int) -> CheckResult:

@@ -25,6 +25,7 @@ from .diagonal import (
     conjugate,
     diagonal_entries,
     enumerate_canonical_forms,
+    form_level,
     full_recursion_trace,
     group_add,
     group_order,
@@ -120,10 +121,12 @@ def cmd_conjugate(args) -> int:
     if args.trace:
         rows = []
         for s in full_recursion_trace(form, pauli):
-            row = {"level": s.level, **s.to_dict()}
+            # the gate conjugated at this step: its ring level and hierarchy level
+            row = {"level": s.level, "form_level": form_level(form), **s.to_dict()}
             if s.residual.k == 1:
                 row["R_tilde_pauli"] = s.residual.z_pauli_label().to_dict()
             rows.append(row)
+            form = s.residual
         _emit({"steps": rows})
     else:
         _emit(conjugate(form, pauli).to_dict())
@@ -139,6 +142,7 @@ def cmd_table(args) -> int:
             {
                 "name": name,
                 "k": form.k,
+                "form_level": form_level(form),
                 "R": form.entries.tolist(),
                 "exponents": exps.tolist(),
                 "diagonal": [[round(z.real, 12), round(z.imag, 12)] for z in diag],
@@ -148,7 +152,10 @@ def cmd_table(args) -> int:
         _emit(rows)
     else:
         for row in rows:
-            print(f"{row['name']:>6}  k={row['k']}  R={row['R']}  exponents={row['exponents']}")
+            print(
+                f"{row['name']:>6}  k={row['k']}  level={row['form_level']}  R={row['R']}"
+                f"  exponents={row['exponents']}"
+            )
     return 0
 
 
@@ -185,6 +192,10 @@ def cmd_verify(args) -> int:
         raise CLIError("verification guard: m must be in 1..4")
     if args.samples < 1:
         raise CLIError("verification guard: samples must be >= 1")
+    try:
+        ring.check_level(args.k)
+    except ValueError as exc:
+        raise CLIError(f"verification guard: {exc}") from exc
     results = default_suites(
         m=args.m,
         k=args.k,

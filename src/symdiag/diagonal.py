@@ -185,6 +185,24 @@ def diagonal_entries(form: SymForm) -> np.ndarray:
     return out
 
 
+def form_level(form: SymForm) -> int:
+    """Clifford-hierarchy level of the gate of `form`, read off its entries.
+
+    max(1, max over nonzero canonical R_ij of k - v2(R_ij)), with v2 the
+    2-adic valuation.  A diagonal entry adds R_ii v_i to the exponent and
+    an off-diagonal one adds 2 R_ij v_i v_j: a degree-2 term sits one
+    level above a linear term with the same coefficient, and the factor 2
+    takes that level back, so both kinds of entry count alike.  T is at
+    level 3, P at 2, Z at 1, CZ (R_01 = 2, k=3) at 2 and CS (R_01 = 1) at
+    3; the level-0 form is at level 1.  The smallest valuation is that of
+    the bitwise OR of the entries; O(m^2).
+    """
+    low = int(np.bitwise_or.reduce(form.entries, axis=None))
+    if low == 0:
+        return 1
+    return max(1, form.k - ((low & -low).bit_length() - 1))
+
+
 def xor_carry(v, form: SymForm, w) -> int:
     """Carry term relating XOR to integer sums inside the quadratic form.
 
@@ -225,16 +243,9 @@ def _residual_exponents(V: np.ndarray, form: SymForm, p: PauliLabel) -> np.ndarr
     return vals % ring.modulus(k)
 
 
-def residual_exponent(v, form: SymForm, p: PauliLabel) -> int:
-    """Exponent at basis state v of the residual diagonal after conjugating E(p)."""
-    v = ring.as_bit_vector(v)
-    if len(v) != form.m:
-        raise ValueError(f"length mismatch: vector of {len(v)} vs form on {form.m}")
-    return int(_residual_exponents(v[None, :], form, p)[0])
-
-
 def residual_exponent_list(form: SymForm, p: PauliLabel) -> np.ndarray:
-    """residual_exponent over all basis vectors, in index order."""
+    """Exponents of the residual diagonal after conjugating E(p), over all
+    basis vectors in index order."""
     return _residual_exponents(index_vectors(form.m), form, p)
 
 

@@ -1,11 +1,15 @@
-"""Dense complex-matrix ground truth at small qubit counts.
+"""Dense ground truth at small qubit counts.
 
-Everything here builds explicit 2^m x 2^m operators straight from the
-definitions, independent of the symbolic calculus, and exists to verify
-it.  Entries of all constructed operators have magnitude 1 or 0, so a
-membership tolerance of 1e-8 leaves orders of magnitude of headroom at
-m <= 4.  The only state kept is read-only tables, one per qubit count up
-to that guard.
+Everything here is built straight from the definitions, independent of
+the symbolic calculus, and exists to verify it: explicit 2^m x 2^m
+operators, and exponent lists evaluated on the full table of basis
+vectors.  Entries of all constructed operators have magnitude 1 or 0, so
+a comparison tolerance of 1e-8 leaves orders of magnitude of headroom at
+m <= 4.  Hierarchy levels of diagonal gates are decided exactly, in
+integers: diagonal_level recurses through the shift differences of an
+exponent list.  The dense hierarchy_level recursion covers general
+unitaries, but only up to level 3 and m <= 2.  The only state kept is
+read-only tables, one per qubit count up to the dense guard.
 """
 
 from __future__ import annotations
@@ -16,10 +20,10 @@ import math
 import numpy as np
 
 from . import ring
-from .diagonal import SymForm, basis_index, index_vectors
+from .diagonal import SymForm, index_vectors
 from .pauli import PauliLabel
 
-#: tolerance for membership-style tests (hierarchy levels, sign resolution)
+#: tolerance for membership-style tests (dense hierarchy levels, sign resolution)
 ATOL = 1e-8
 
 #: cost guard for generic dense construction
@@ -28,6 +32,9 @@ MAX_DENSE_QUBITS = 4
 MAX_LEVEL_QUBITS = 2
 #: highest level the generator recursion of hierarchy_level decides exactly
 MAX_EXACT_LEVEL = 3
+#: cost guard for diagonal_level: a diagonal with 2^k-th root entries on m
+#: qubits sits at level <= k + m - 1, so no reachable level lies above this
+MAX_DIAGONAL_LEVEL = ring.MAX_LEVEL + MAX_DENSE_QUBITS - 1
 
 
 def _check_dense_m(m: int, guard: int = MAX_DENSE_QUBITS) -> int:
@@ -44,6 +51,14 @@ def _basis_vectors(m: int) -> np.ndarray:
     return V
 
 
+@functools.cache
+def _index_weights(m: int) -> np.ndarray:
+    """Read-only big-endian weights 2^(m-1), ..., 1: a bit vector's index is v @ weights."""
+    w = 1 << np.arange(_check_dense_m(m) - 1, -1, -1, dtype=np.int64)
+    w.flags.writeable = False
+    return w
+
+
 def _dense_xz(a0: np.ndarray, b0: np.ndarray) -> np.ndarray:
     """Phaseless tensor product X^a1 Z^b1 (x) ... (x) X^am Z^bm.
 
@@ -52,7 +67,7 @@ def _dense_xz(a0: np.ndarray, b0: np.ndarray) -> np.ndarray:
     m = len(a0)
     n = 1 << m
     V = _basis_vectors(m)
-    rows = np.arange(n) ^ basis_index(a0)
+    rows = np.arange(n) ^ int(a0 @ _index_weights(m))
     signs = (-1.0) ** (V @ b0)
     out = np.zeros((n, n), dtype=complex)
     out[rows, np.arange(n)] = signs
@@ -67,15 +82,62 @@ def dense_pauli(p: PauliLabel) -> np.ndarray:
     return phase * _dense_xz(a & 1, b & 1)
 
 
+def dense_exponents(form: SymForm) -> np.ndarray:
+    """Exponent list [v R v^T mod 2^k], one einsum over the basis table."""
+    V = _basis_vectors(_check_dense_m(form.m))
+    return np.einsum("ij,jk,ik->i", V, form.entries, V) % ring.modulus(form.k)
+
+
 def dense_diagonal(form: SymForm) -> np.ndarray:
     """Dense diagonal gate diag(exp(2*pi*i * (v R v^T) / 2^k))."""
-    _check_dense_m(form.m)
-    if form.k == 0:
-        return np.eye(1 << form.m, dtype=complex)
-    M = ring.modulus(form.k)
-    V = _basis_vectors(form.m)
-    exps = np.einsum("ij,jk,ik->i", V, form.entries, V) % M
-    return np.diag(np.exp(2j * math.pi * exps / M))
+    return np.diag(np.exp(2j * math.pi * dense_exponents(form) / ring.modulus(form.k)))
+
+
+def _is_z_type(d: np.ndarray, half: int) -> bool:
+    """True iff d = half * f for a GF(2)-linear f with values in {0, 1}.
+
+    For d = e - e[0] mod 2^k and half = 2^(k-1) this says that the
+    diagonal xi^e is a Z-type Pauli up to phase, i.e. at level 1.  A
+    linear f is fixed by its values at the weight-1 basis vectors.
+    """
+    f, rem = np.divmod(d, half)
+    if rem.any() or f.max() > 1:
+        return False
+    m = len(d).bit_length() - 1
+    return np.array_equal(_basis_vectors(m) @ f[_index_weights(m)] % 2, f)
+
+
+def diagonal_level(exponents, k: int, max_level: int = MAX_DIAGONAL_LEVEL) -> int | None:
+    """Smallest hierarchy level <= max_level of the diagonal gate xi^e, else None.
+
+    e is an exponent list mod 2^k over the basis in index order, and
+    xi = exp(2*pi*i / 2^k).  Level 1 means e - e[0] is 2^(k-1) times a
+    GF(2)-linear function of v.  Since D X^a D^dagger = X^a Delta_a with
+    Delta_a(v) = e(v XOR a) - e(v), and every level is closed under
+    Pauli products, D is at level <= j iff every Delta_a, a != 0, is at
+    level <= j-1.  Integer arithmetic throughout, with no tolerance; the
+    differences are memoised within one call.
+    """
+    e = ring.as_integers(exponents)
+    n = e.size
+    if e.ndim != 1 or n & (n - 1) or n == 0:
+        raise ValueError(f"need a 1-d exponent list of power-of-two length, got shape {e.shape}")
+    _check_dense_m(n.bit_length() - 1)
+    M = ring.modulus(ring.check_level(k))
+    if not 1 <= max_level <= MAX_DIAGONAL_LEVEL:
+        raise ValueError(f"max_level={max_level} outside [1, {MAX_DIAGONAL_LEVEL}]")
+    idx = np.arange(n)
+    memo: dict[tuple[bytes, int], bool] = {}
+
+    def at_most(d: np.ndarray, j: int) -> bool:
+        d = (d - d[0]) % M
+        key = (d.tobytes(), j)
+        if key not in memo:
+            memo[key] = _is_z_type(d, M >> 1) or (j > 1 and all(
+                at_most(d[idx ^ a] - d, j - 1) for a in range(1, n)))
+        return memo[key]
+
+    return next((j for j in range(1, max_level + 1) if at_most(e, j)), None)
 
 
 def _hadamard(m: int) -> np.ndarray:
@@ -100,9 +162,8 @@ def dense_unitary(gen) -> np.ndarray:
         return np.kron(np.eye(1 << t, dtype=complex), _hadamard(m - t))
     if gen.kind == "L_Q":
         n = 1 << m
-        weights = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
         out = np.zeros((n, n), dtype=complex)
-        out[(_basis_vectors(m) @ gen.params["Q"] % 2) @ weights, np.arange(n)] = 1.0
+        out[(_basis_vectors(m) @ gen.params["Q"] % 2) @ _index_weights(m), np.arange(n)] = 1.0
         return out
     if gen.kind == "T_R":
         return dense_diagonal(SymForm(gen.params["R"], 2))
@@ -188,12 +249,14 @@ def _in_level(u: np.ndarray, k: int, gens: tuple[np.ndarray, ...], tol: float) -
 def hierarchy_level(u: np.ndarray, max_k: int = MAX_EXACT_LEVEL, tol: float = ATOL):
     """Smallest level k <= max_k containing u, or None if there is none.
 
-    Level 1 is a strict Pauli match (i-power times a tensor of X, Z);
-    higher levels recurse through conjugation of the single-qubit X- and
-    Z-type generators, which generate all Paulis.  The recursion through
-    generators alone is exact up to level 3, because level-2 membership
-    forms a group.  Above that it is only a relaxation that can report a
-    level too low, so max_k > MAX_EXACT_LEVEL raises ValueError.
+    The reference for general, non-diagonal unitaries; diagonal gates have
+    the exact integer rule diagonal_level.  Level 1 is a strict Pauli
+    match (i-power times a tensor of X, Z); higher levels recurse through
+    conjugation of the single-qubit X- and Z-type generators, which
+    generate all Paulis.  The recursion through generators alone is exact
+    up to level 3, because level-2 membership forms a group.  Above that
+    it is only a relaxation that can report a level too low, so
+    max_k > MAX_EXACT_LEVEL raises ValueError.
     """
     if max_k > MAX_EXACT_LEVEL:
         raise ValueError(f"max_k={max_k} exceeds {MAX_EXACT_LEVEL}, the highest exact level")

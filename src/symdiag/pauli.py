@@ -7,8 +7,8 @@ A pair of integer vectors (a, b) of length m labels the Hermitian matrix
 where the dot product runs over the integers.  Only the parity layers
 a0, b0 choose the tensor factors (X^2 = Z^2 = I), but the higher binary
 layers still feed the i-exponent, which can flip the overall sign.  For
-that reason labels are stored exactly as given and reduced to binary
-form only through an explicit normalize_label call.
+that reason labels are stored exactly as given; the conjugation calculus
+reduces them to binary layers and folds that sign into its phase.
 """
 
 from __future__ import annotations
@@ -131,15 +131,3 @@ def symplectic_inner(p: PauliLabel, q: PauliLabel) -> int:
 def commutes(p: PauliLabel, q: PauliLabel) -> bool:
     """True iff E(p) and E(q) commute as matrices."""
     return symplectic_inner(p, q) == 0
-
-
-def normalize_label(p: PauliLabel) -> PhasedPauli:
-    """Reduce a label to its binary layers, emitting the compensating sign.
-
-    E(a, b) = (-1)^s E(a0, b0) with s read off from the i-exponent
-    difference (a.b - a0.b0) mod 4, which is always 0 or 2.
-    """
-    a, b = p.a, p.b
-    a0, b0 = a & 1, b & 1
-    exponent = int(a @ b - a0 @ b0) % 4
-    return PhasedPauli(exponent, 2, PauliLabel(a0, b0))

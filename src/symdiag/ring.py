@@ -1,4 +1,4 @@
-"""Exact arithmetic over Z_{2^k}: residues, bit vectors, binary expansions.
+"""Exact arithmetic over Z_{2^k}: residues, bit vectors, binary layers.
 
 Conventions shared by the whole package:
 
@@ -77,17 +77,6 @@ def as_bit_vector(x) -> np.ndarray:
 def require_same_length(v: np.ndarray, w: np.ndarray) -> None:
     if len(v) != len(w):
         raise ValueError(f"length mismatch: {len(v)} vs {len(w)}")
-
-
-def binary_expansion(x, layers: int) -> list[np.ndarray]:
-    """Binary layers x0, x1, ... of an integer vector.
-
-    Reassembling sum(2^i * x_i) reproduces x modulo 2^layers.
-    """
-    if layers < 1:
-        raise ValueError("need at least one layer")
-    v = as_int_vector(x)
-    return [(v >> i) & 1 for i in range(layers)]
 
 
 def xor_as_ring(v, w, k: int) -> np.ndarray:

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from symdiag import checks, ring
+from symdiag import checks, oracle, ring
 from symdiag.cli import main
 from symdiag.pauli import PhasedPauli
 
@@ -69,6 +69,16 @@ def _plus(offset):
     return lambda orig: lambda form, p: orig(form, p) + offset(len(orig(form, p)))
 
 
+def _valuation_off_by_one(orig):
+    """k - (v2 + 1) in place of k - v2, still floored at level 1."""
+    return lambda form: max(1, orig(form) - 1)
+
+
+def _quarter_turn_as_level_one(orig):
+    """The level-1 test of diagonal_level with 2^(k-2) in place of 2^(k-1)."""
+    return lambda d, half: orig(d, half // 2)
+
+
 def _rng(seed=3):
     return np.random.default_rng(seed)
 
@@ -107,8 +117,17 @@ FAULTS = [
     (lambda: checks.check_clifford_signs(1, _rng()), checks, "clifford_conjugate",
      lambda orig: lambda gen, label: (-orig(gen, label)[0], orig(gen, label)[1]),
      "clifford-signs(m=1)", 1, {"gen", "params", "a", "b"}),
-    (lambda: checks.check_hierarchy_membership(1, 2), checks, "hierarchy_level",
-     lambda orig: lambda u, max_k: None, "hierarchy-membership(m=1,k=2)", 1, {"R", "level"}),
+    (lambda: checks.check_hierarchy_membership(1, 2), checks, "diagonal_level",
+     lambda orig: lambda e, k, max_level: None, "hierarchy-membership(m=1,k=2)", 1,
+     {"R", "level"}),
+    # form_level off by one in its valuation, and a level-1 rule reading
+    # 2^(k-2) where 2^(k-1) belongs: both first show on R = [[1]]
+    (lambda: checks.check_hierarchy_membership(1, 2), checks, "form_level",
+     _valuation_off_by_one, "hierarchy-membership(m=1,k=2)", 2, {"R", "level"}),
+    (lambda: checks.check_hierarchy_membership(1, 2), oracle, "_is_z_type",
+     _quarter_turn_as_level_one, "hierarchy-membership(m=1,k=2)", 2, {"R", "level"}),
+    (lambda: checks.check_form_level_recursion(1, 2), checks, "form_level",
+     _valuation_off_by_one, "form-level-recursion(m=1,k=2)", 2, {"R", "level", "recursion"}),
     # a repeated exponent list can first show at the second form
     (lambda: checks.check_entry_list_injectivity(1, 2), checks, "diagonal_entries",
      lambda orig: lambda form: np.zeros(2, dtype=np.int64), "entry-list-injectivity(m=1,k=2)",
@@ -136,3 +155,22 @@ def test_injected_fault_fails_first_case(monkeypatch, check, module, attr, fault
     assert (result.name, result.passed, result.checked) == (name, False, checked)
     assert result.max_deviation > 0
     assert set(result.detail) == keys
+
+
+@pytest.mark.parametrize("m, k", [(1, 2), (1, 3), (2, 2), (2, 3)])
+@pytest.mark.parametrize("module, attr, fault", [
+    (checks, "form_level", _valuation_off_by_one),
+    (oracle, "_is_z_type", _quarter_turn_as_level_one),
+], ids=["form_level-valuation", "diagonal_level-half"])
+def test_level_faults_fail_hierarchy_membership(monkeypatch, m, k, module, attr, fault):
+    assert checks.check_hierarchy_membership(m, k).passed
+    monkeypatch.setattr(module, attr, fault(getattr(module, attr)))
+    assert not checks.check_hierarchy_membership(m, k).passed
+
+
+@pytest.mark.parametrize("m, ks", [(1, range(1, 7)), (2, range(1, 5)), (3, range(1, 3))])
+def test_form_level_matches_residual_recursion(m, ks):
+    for k in ks:
+        result = checks.check_form_level_recursion(m, k)
+        assert result.passed, str(result)
+        assert result.checked == checks.group_order(m, k)

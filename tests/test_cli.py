@@ -150,6 +150,7 @@ class TestConjugate:
         assert code == 0
         steps = json.loads(out)["steps"]
         assert [s["level"] for s in steps] == [3, 2, 1]
+        assert [s["form_level"] for s in steps] == [3, 2, 1]
         assert steps[0]["phi"] == 7
         assert steps[-1]["k_next"] == 0
 
@@ -176,11 +177,14 @@ class TestTable:
         assert byname["CZ"]["R"] == [[0, 2], [2, 0]]
         assert byname["CZ"]["exponents"] == [0, 0, 0, 4]
         assert byname["CP"]["exponents"] == [0, 0, 0, 2]
+        levels = {name: row["form_level"] for name, row in byname.items()}
+        assert [levels[name] for name in ("T", "P", "Z", "CZ", "CP")] == [3, 2, 1, 2, 3]
 
     def test_text_output(self, capsys):
         code, out, _ = run(capsys, "table")
         assert code == 0
         assert len(out.strip().splitlines()) == 14
+        assert "     T  k=3  level=3  R=[[1]]  exponents=[0, 1]" in out.splitlines()
 
 
 class TestCount:
@@ -237,6 +241,11 @@ class TestVerify:
             code, out, err = run(capsys, "verify", "--m", "1", "--k", "3", "--samples", samples)
             assert code == 1 and "verification guard: samples must be >= 1" in err
             assert "all checks passed" not in out
+        # the level is refused before any check runs, so nothing is printed
+        for k in ("0", "17"):
+            code, out, err = run(capsys, "verify", "--m", "1", "--k", k)
+            assert code == 1 and f"verification guard: level k={k} outside [1, 16]" in err
+            assert out == ""
 
     def test_deterministic_given_seed(self, capsys):
         _, out1, _ = run(capsys, "verify", "--m", "1", "--k", "2", "--samples", "5", "--seed", "7", "--json")

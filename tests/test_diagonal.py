@@ -1,23 +1,24 @@
 import numpy as np
 import pytest
 
-from symdiag import oracle, ring
+from symdiag import diagonal, oracle, ring
 from symdiag.checks import random_canonical_form
 from symdiag.diagonal import (
     ConjugationResult,
     InfeasibleDiagonalError,
     SymForm,
+    basis_index,
     ccz_companion,
     conjugate,
     diagonal_entries,
     enumerate_canonical_forms,
+    form_level,
     full_recursion_trace,
     global_phase_exponent,
     group_add,
     group_negate,
     group_order,
     index_vectors,
-    residual_exponent,
     residual_exponent_list,
     residual_form,
     standard_gate_table,
@@ -134,6 +135,35 @@ class TestDiagonalEntries:
             assert exps[idx] == int(v @ form.entries @ v) % (1 << k)
 
 
+class TestFormLevel:
+    # level of each named gate of the standard table, all at k = 3
+    TABLE = {"I": 1, "P": 2, "Z": 1, "Pdg": 2, "T": 3, "TZ": 3, "Tdg": 3, "TdgZ": 3,
+             "CZ": 2, "CP": 3, "IxP": 2, "IxZ": 1, "PxI": 2, "ZxI": 1}
+
+    def test_standard_gate_table(self):
+        assert {name: form_level(form) for name, form in standard_gate_table()} == self.TABLE
+
+    def test_off_diagonal_entries_count_like_diagonal_ones(self):
+        # CZ at R_01 = 2 and CS at R_01 = 1 (k=3); the same entries at k=5
+        # sit two levels higher
+        assert form_level(SymForm([[0, 2], [2, 0]], 3)) == 2
+        assert form_level(SymForm([[0, 1], [1, 0]], 3)) == 3
+        assert form_level(SymForm([[4, 2], [2, 0]], 5)) == 4
+        assert form_level(SymForm([[0, 1], [1, 8]], 5)) == 5
+
+    def test_level_one_floor(self):
+        assert form_level(SymForm.zeros(3, 3)) == 1
+        assert form_level(SymForm.zeros(2, 0)) == 1
+        assert form_level(SymForm([[1]], 1)) == 1
+
+    def test_scale(self):
+        # one O(m^2) pass: the largest level is k unless every entry is even
+        R = np.full((512, 512), 4, dtype=np.int64)
+        assert form_level(SymForm(R, 6)) == 4
+        R[100, 200] = R[200, 100] = 1
+        assert form_level(SymForm(R, 6)) == 6
+
+
 class TestXorCarry:
     def test_zero_overlap(self):
         assert xor_carry([1, 0], SymForm(((1, 2), (2, 3)), 3), [0, 0]) == 0
@@ -187,8 +217,8 @@ class TestResidualExponent:
                     assert np.all(residual_exponent_list(form, p) % 4 == 0)
 
     def test_t_gate_values(self):
-        assert residual_exponent([0], T_FORM, X1) == 7
-        assert residual_exponent([1], T_FORM, X1) == 1
+        assert residual_exponent_list(T_FORM, X1)[basis_index([0])] == 7
+        assert residual_exponent_list(T_FORM, X1)[basis_index([1])] == 1
 
     def test_z_type_gives_zero(self):
         form = SymForm(((3, 2), (2, 5)), 4)
@@ -196,14 +226,15 @@ class TestResidualExponent:
 
     def test_rejects_level_one(self):
         with pytest.raises(ValueError):
-            residual_exponent([0], SymForm(((1,),), 1), X1)
+            residual_exponent_list(SymForm(((1,),), 1), X1)[basis_index([0])]
 
     @pytest.mark.parametrize("m", ["T", "zero", 3, 64, 256])
     def test_residual_form_exact_at_large_m(self, m):
-        # residual_exponent == global phase + 2 v R' v^T (mod 2^k): the
+        # residual exponent == global phase + 2 v R' v^T (mod 2^k): the
         # mask-built residual form against the carry formula, from the T gate
         # on X and a zero form through m=3 to bench sizes, where the dense
-        # sweeps (m <= 3) cannot reach
+        # sweeps (m <= 3) and residual_exponent_list cannot reach, so the
+        # carry formula is evaluated on the drawn rows alone
         if m == "T":
             cases = [(T_FORM, X1, [[0], [1]])]
         elif m == "zero":
@@ -213,9 +244,10 @@ class TestResidualExponent:
         for form, p, vs in cases:
             phi = global_phase_exponent(form, p)
             R_next = residual_form(form, p).entries
-            for v in np.asarray(vs):
-                expected = (phi + 2 * int(v @ R_next @ v)) % (1 << form.k)
-                assert residual_exponent(v, form, p) == expected
+            vs = np.asarray(vs)
+            rows = diagonal._residual_exponents(vs, form, p)
+            for v, got in zip(vs, rows):
+                assert got == (phi + 2 * int(v @ R_next @ v)) % (1 << form.k)
 
 
 class TestLabelBoundary:

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from symdiag import oracle
-from symdiag.diagonal import SymForm, standard_gate_table
+from symdiag.diagonal import (
+    SymForm,
+    diagonal_entries,
+    enumerate_canonical_forms,
+    form_level,
+    index_vectors,
+    standard_gate_table,
+)
 from symdiag.pauli import PauliLabel, multiply
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -112,6 +119,56 @@ def test_hierarchy_level_unknown_for_generic_unitary():
     theta = 0.3
     u = np.diag([1.0, np.exp(1j * theta)]).astype(complex)
     assert oracle.hierarchy_level(u, max_k=3) is None
+
+
+def test_dense_exponents_match_calculus():
+    for _, form in standard_gate_table():
+        assert np.array_equal(oracle.dense_exponents(form), diagonal_entries(form))
+    assert oracle.dense_exponents(SymForm.zeros(2, 0)).tolist() == [0, 0, 0, 0]
+
+
+def test_diagonal_level_multi_controlled_phases():
+    # CCZ, CC-S and CC-T at k=3: exponent 4, 2, 1 on |111>, not quadratic forms
+    ones = index_vectors(3).prod(axis=1)
+    assert [oracle.diagonal_level(c * ones, 3) for c in (4, 2, 1)] == [3, 4, 5]
+    assert oracle.diagonal_level(ones, 3, max_level=4) is None
+    assert oracle.diagonal_level(4 * ones, 3, max_level=3) == 3
+
+
+def test_diagonal_level_single_qubit():
+    assert oracle.diagonal_level([0, 1], 3) == 3
+    assert oracle.diagonal_level([5, 5], 3) == 1  # a global phase
+    assert oracle.diagonal_level([3, 7], 3) == 1  # Z up to phase
+    assert oracle.diagonal_level([0, 1], 16) == 16
+    assert oracle.diagonal_level([0, 1], 16, max_level=15) is None
+
+
+def test_level_rules_agree_on_all_forms():
+    """The exact integer rules on both sides against the dense recursion
+    from the definition, on all 306 canonical forms at m <= 2, k <= 3."""
+    count = 0
+    for m in (1, 2):
+        for k in (1, 2, 3):
+            for form in enumerate_canonical_forms(m, k):
+                dense = oracle.hierarchy_level(oracle.dense_diagonal(form), max_k=3)
+                assert oracle.diagonal_level(oracle.dense_exponents(form), k, k) == dense
+                assert form_level(form) == dense
+                count += 1
+    assert count == 306
+
+
+def test_diagonal_level_guards():
+    with pytest.raises(ValueError, match="m <= 4"):
+        oracle.diagonal_level(np.zeros(32, dtype=np.int64), 3)
+    with pytest.raises(ValueError, match=r"max_level=20 outside \[1, 19\]"):
+        oracle.diagonal_level([0, 1], 3, max_level=oracle.MAX_DIAGONAL_LEVEL + 1)
+    with pytest.raises(ValueError, match=r"max_level=0 outside"):
+        oracle.diagonal_level([0, 1], 3, max_level=0)
+    for bad in ([0, 1, 2], [[0, 1]]):
+        with pytest.raises(ValueError, match="power-of-two length"):
+            oracle.diagonal_level(bad, 3)
+    with pytest.raises(ValueError, match="level k=0"):
+        oracle.diagonal_level([0, 1], 0)
 
 
 def test_pauli_multiplication_law_dense():

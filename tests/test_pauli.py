@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from symdiag import oracle
-from symdiag.pauli import PauliLabel, commutes, multiply, normalize_label, symplectic_inner
+from symdiag.pauli import PauliLabel, PhasedPauli, commutes, multiply, symplectic_inner
 
 X = PauliLabel((1,), (0,))
 Z = PauliLabel((0,), (1,))
@@ -58,27 +58,6 @@ def test_commutes_examples():
     assert commutes(p, q)
     dp, dq = oracle.dense_pauli(p), oracle.dense_pauli(q)
     assert np.allclose(dp @ dq, dq @ dp)
-
-
-def test_normalize_label_binary_unchanged():
-    out = normalize_label(PauliLabel((1, 0), (0, 1)))
-    assert out.phase_num == 0
-    assert out.label == PauliLabel((1, 0), (0, 1))
-
-
-@pytest.mark.parametrize(
-    "label, expected_phase_num, expected",
-    [
-        # frozen from the dense oracle: E(2,1) = i^2 D(0,1) = -Z, E(1,2) = -X
-        (PauliLabel((2,), (1,)), 2, PauliLabel((0,), (1,))),
-        (PauliLabel((1,), (2,)), 2, PauliLabel((1,), (0,))),
-    ],
-)
-def test_normalize_label_reduces_with_sign(label, expected_phase_num, expected):
-    out = normalize_label(label)
-    assert out.phase_num == expected_phase_num
-    assert out.label == expected
-    assert np.allclose(oracle.dense_pauli(label), out.phase * oracle.dense_pauli(out.label))
 
 
 def _random_label(rng, m, high=8):
@@ -139,7 +118,5 @@ def test_commutation_sign_relation(data, a):
 def test_json_round_trip():
     p = PauliLabel((2, 1), (0, 3))
     assert PauliLabel.from_dict(p.to_dict()) == p
-    pp = normalize_label(p)
-    from symdiag.pauli import PhasedPauli
-
+    pp = PhasedPauli(2, 2, p)
     assert PhasedPauli.from_dict(pp.to_dict()) == pp

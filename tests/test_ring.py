@@ -6,23 +6,6 @@ from hypothesis import strategies as st
 from symdiag import ring
 
 
-def test_binary_expansion_examples():
-    x0, x1 = ring.binary_expansion([3, 1], 2)
-    assert x0.tolist() == [1, 1]
-    assert x1.tolist() == [1, 0]
-
-    layers = ring.binary_expansion([0, 0], 4)
-    assert all(layer.tolist() == [0, 0] for layer in layers)
-
-    x0, x1, x2 = ring.binary_expansion([5], 3)
-    assert (x0.tolist(), x1.tolist(), x2.tolist()) == ([1], [0], [1])
-
-
-def test_binary_expansion_needs_layer():
-    with pytest.raises(ValueError):
-        ring.binary_expansion([1], 0)
-
-
 def test_xor_as_ring_examples():
     assert ring.xor_as_ring([1, 0], [1, 1], 3).tolist() == [0, 1]
     assert ring.xor_as_ring([1, 0, 1], [1, 0, 1], 2).tolist() == [0, 0, 0]
@@ -61,13 +44,3 @@ def test_xor_matches_bitwise(data, v, k):
     out = ring.xor_as_ring(v, w, k)
     assert set(out.tolist()) <= {0, 1}
     assert out.tolist() == [x ^ y for x, y in zip(v, w)]
-
-
-@given(
-    x=st.lists(st.integers(0, (1 << ring.MAX_LEVEL) - 1), min_size=1, max_size=6),
-    layers=st.integers(1, ring.MAX_LEVEL),
-)
-def test_expansion_roundtrip(x, layers):
-    parts = ring.binary_expansion(x, layers)
-    back = sum(p << i for i, p in enumerate(parts))
-    assert np.array_equal(back % (1 << layers), np.array(x) % (1 << layers))
