@@ -32,7 +32,6 @@ from .diagonal import (
     group_order,
     index_vectors,
     residual_exponent_list,
-    residual_form,
     xor_carry,
 )
 from .oracle import (
@@ -388,43 +387,16 @@ def check_clifford_signs(m: int, rng: np.random.Generator) -> CheckResult:
 def check_hierarchy_membership(m: int, k: int) -> CheckResult:
     """Every canonical form at (m, k) builds a gate whose level, decided by
     the oracle's shift-difference recursion on its own exponent list
-    (oracle.diagonal_level, capped at k), equals the closed-form
+    (oracle.diagonal_level), equals the closed-form
     form_level read off its entries."""
 
     def cases():
         for form in enumerate_canonical_forms(m, k):
-            level = diagonal_level(dense_exponents(form), k, k)
+            level = diagonal_level(dense_exponents(form), k)
             yield 1, float(level != form_level(form)), lambda: {
                 "R": form.entries.tolist(), "level": level}
 
     return _first_failure(f"hierarchy-membership(m={m},k={k})", cases())
-
-
-def check_form_level_recursion(m: int, k: int) -> CheckResult:
-    """form_level equals the level the paper's residual recursion gives,
-    for every canonical form at (m, k).  A form is at level 1 when its gate
-    is a Z-type Pauli up to phase: off-diagonal entries 0 and each
-    diagonal entry a multiple of 2^(k-1).  Otherwise its level is 1 plus
-    the largest level among the residuals of E(a0, 0), a0 != 0.  Not in
-    default_suites; residual levels are memoised within one call."""
-    zero = np.zeros(m, dtype=np.int64)
-    shifts = [PauliLabel(a0, zero) for a0 in index_vectors(m)[1:]]
-    memo: dict[SymForm, int] = {}
-
-    def level(form: SymForm) -> int:
-        if form not in memo:
-            R, d = form.entries, form.entries.diagonal()
-            pauli = not np.any(R - np.diag(d)) and not np.any(d % (1 << (form.k - 1)))
-            memo[form] = 1 if pauli else 1 + max(level(residual_form(form, p)) for p in shifts)
-        return memo[form]
-
-    def cases():
-        for form in enumerate_canonical_forms(m, k):
-            closed, recursion = form_level(form), level(form)
-            yield 1, float(closed != recursion), lambda: {
-                "R": form.entries.tolist(), "level": closed, "recursion": recursion}
-
-    return _first_failure(f"form-level-recursion(m={m},k={k})", cases())
 
 
 def check_entry_list_injectivity(m: int, k: int) -> CheckResult:

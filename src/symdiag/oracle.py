@@ -32,9 +32,6 @@ MAX_DENSE_QUBITS = 4
 MAX_LEVEL_QUBITS = 2
 #: highest level the generator recursion of hierarchy_level decides exactly
 MAX_EXACT_LEVEL = 3
-#: cost guard for diagonal_level: a diagonal with 2^k-th root entries on m
-#: qubits sits at level <= k + m - 1, so no reachable level lies above this
-MAX_DIAGONAL_LEVEL = ring.MAX_LEVEL + MAX_DENSE_QUBITS - 1
 
 
 def _check_dense_m(m: int, guard: int = MAX_DENSE_QUBITS) -> int:
@@ -101,22 +98,24 @@ def _is_z_type(d: np.ndarray, half: int) -> bool:
     linear f is fixed by its values at the weight-1 basis vectors.
     """
     f, rem = np.divmod(d, half)
-    if rem.any() or f.max() > 1:
+    if rem.any():
         return False
     m = len(d).bit_length() - 1
     return np.array_equal(_basis_vectors(m) @ f[_index_weights(m)] % 2, f)
 
 
-def diagonal_level(exponents, k: int, max_level: int = MAX_DIAGONAL_LEVEL) -> int | None:
-    """Smallest hierarchy level <= max_level of the diagonal gate xi^e, else None.
+def diagonal_level(exponents, k: int) -> int:
+    """Hierarchy level of the diagonal gate xi^e.
 
     e is an exponent list mod 2^k over the basis in index order, and
     xi = exp(2*pi*i / 2^k).  Level 1 means e - e[0] is 2^(k-1) times a
     GF(2)-linear function of v.  Since D X^a D^dagger = X^a Delta_a with
     Delta_a(v) = e(v XOR a) - e(v), and every level is closed under
-    Pauli products, D is at level <= j iff every Delta_a, a != 0, is at
-    level <= j-1.  Integer arithmetic throughout, with no tolerance; the
-    differences are memoised within one call.
+    Pauli products, D is at level 1 + the largest level of Delta_a,
+    a != 0.  A diagonal with 2^k-th root entries on m qubits sits at
+    level <= k + m - 1, so the recursion ends.  Integer arithmetic
+    throughout, with no tolerance; the level of each normalised
+    difference list is memoised within one call.
     """
     e = ring.as_integers(exponents)
     n = e.size
@@ -124,20 +123,18 @@ def diagonal_level(exponents, k: int, max_level: int = MAX_DIAGONAL_LEVEL) -> in
         raise ValueError(f"need a 1-d exponent list of power-of-two length, got shape {e.shape}")
     _check_dense_m(n.bit_length() - 1)
     M = ring.modulus(ring.check_level(k))
-    if not 1 <= max_level <= MAX_DIAGONAL_LEVEL:
-        raise ValueError(f"max_level={max_level} outside [1, {MAX_DIAGONAL_LEVEL}]")
     idx = np.arange(n)
-    memo: dict[tuple[bytes, int], bool] = {}
+    memo: dict[bytes, int] = {}
 
-    def at_most(d: np.ndarray, j: int) -> bool:
+    def level(d: np.ndarray) -> int:
         d = (d - d[0]) % M
-        key = (d.tobytes(), j)
+        key = d.tobytes()
         if key not in memo:
-            memo[key] = _is_z_type(d, M >> 1) or (j > 1 and all(
-                at_most(d[idx ^ a] - d, j - 1) for a in range(1, n)))
+            memo[key] = 1 if _is_z_type(d, M >> 1) else 1 + max(
+                level(d[idx ^ a] - d) for a in range(1, n))
         return memo[key]
 
-    return next((j for j in range(1, max_level + 1) if at_most(e, j)), None)
+    return level(e)
 
 
 def _hadamard(m: int) -> np.ndarray:

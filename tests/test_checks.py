@@ -118,7 +118,7 @@ FAULTS = [
      lambda orig: lambda gen, label: (-orig(gen, label)[0], orig(gen, label)[1]),
      "clifford-signs(m=1)", 1, {"gen", "params", "a", "b"}),
     (lambda: checks.check_hierarchy_membership(1, 2), checks, "diagonal_level",
-     lambda orig: lambda e, k, max_level: None, "hierarchy-membership(m=1,k=2)", 1,
+     lambda orig: lambda e, k: orig(e, k) + 1, "hierarchy-membership(m=1,k=2)", 1,
      {"R", "level"}),
     # form_level off by one in its valuation, and a level-1 rule reading
     # 2^(k-2) where 2^(k-1) belongs: both first show on R = [[1]]
@@ -126,8 +126,6 @@ FAULTS = [
      _valuation_off_by_one, "hierarchy-membership(m=1,k=2)", 2, {"R", "level"}),
     (lambda: checks.check_hierarchy_membership(1, 2), oracle, "_is_z_type",
      _quarter_turn_as_level_one, "hierarchy-membership(m=1,k=2)", 2, {"R", "level"}),
-    (lambda: checks.check_form_level_recursion(1, 2), checks, "form_level",
-     _valuation_off_by_one, "form-level-recursion(m=1,k=2)", 2, {"R", "level", "recursion"}),
     # a repeated exponent list can first show at the second form
     (lambda: checks.check_entry_list_injectivity(1, 2), checks, "diagonal_entries",
      lambda orig: lambda form: np.zeros(2, dtype=np.int64), "entry-list-injectivity(m=1,k=2)",
@@ -166,11 +164,3 @@ def test_level_faults_fail_hierarchy_membership(monkeypatch, m, k, module, attr,
     assert checks.check_hierarchy_membership(m, k).passed
     monkeypatch.setattr(module, attr, fault(getattr(module, attr)))
     assert not checks.check_hierarchy_membership(m, k).passed
-
-
-@pytest.mark.parametrize("m, ks", [(1, range(1, 7)), (2, range(1, 5)), (3, range(1, 3))])
-def test_form_level_matches_residual_recursion(m, ks):
-    for k in ks:
-        result = checks.check_form_level_recursion(m, k)
-        assert result.passed, str(result)
-        assert result.checked == checks.group_order(m, k)

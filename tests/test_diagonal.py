@@ -163,6 +163,42 @@ class TestFormLevel:
         R[100, 200] = R[200, 100] = 1
         assert form_level(SymForm(R, 6)) == 6
 
+    @pytest.mark.parametrize("m, ks", [(1, range(1, 7)), (2, range(1, 5)), (3, range(1, 3))])
+    def test_matches_residual_recursion(self, m, ks):
+        level = _residual_level(m)
+        for k in ks:
+            forms = list(enumerate_canonical_forms(m, k))
+            assert len(forms) == group_order(m, k)
+            for form in forms:
+                assert form_level(form) == level(form), form.entries.tolist()
+
+    def test_residual_recursion_catches_valuation_fault(self):
+        # k - (v2 + 1) in place of k - v2 first disagrees at R = [[1]], k=2
+        level = _residual_level(1)
+        wrong = [form.entries.tolist() for form in enumerate_canonical_forms(1, 2)
+                 if max(1, form_level(form) - 1) != level(form)]
+        assert wrong[0] == [[1]]
+
+
+def _residual_level(m):
+    """Level by the paper's residual recursion, memoised per call.  A form
+    is at level 1 when its gate is a Z-type Pauli up to phase: off-diagonal
+    entries 0 and each diagonal entry a multiple of 2^(k-1).  Otherwise its
+    level is 1 plus the largest level among the residuals of E(a0, 0),
+    a0 != 0."""
+    zero = np.zeros(m, dtype=np.int64)
+    shifts = [PauliLabel(a0, zero) for a0 in index_vectors(m)[1:]]
+    memo = {}
+
+    def level(form):
+        if form not in memo:
+            R, d = form.entries, form.entries.diagonal()
+            pauli = not np.any(R - np.diag(d)) and not np.any(d % (1 << (form.k - 1)))
+            memo[form] = 1 if pauli else 1 + max(level(residual_form(form, p)) for p in shifts)
+        return memo[form]
+
+    return level
+
 
 class TestXorCarry:
     def test_zero_overlap(self):

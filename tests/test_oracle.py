@@ -131,8 +131,6 @@ def test_diagonal_level_multi_controlled_phases():
     # CCZ, CC-S and CC-T at k=3: exponent 4, 2, 1 on |111>, not quadratic forms
     ones = index_vectors(3).prod(axis=1)
     assert [oracle.diagonal_level(c * ones, 3) for c in (4, 2, 1)] == [3, 4, 5]
-    assert oracle.diagonal_level(ones, 3, max_level=4) is None
-    assert oracle.diagonal_level(4 * ones, 3, max_level=3) == 3
 
 
 def test_diagonal_level_single_qubit():
@@ -140,7 +138,6 @@ def test_diagonal_level_single_qubit():
     assert oracle.diagonal_level([5, 5], 3) == 1  # a global phase
     assert oracle.diagonal_level([3, 7], 3) == 1  # Z up to phase
     assert oracle.diagonal_level([0, 1], 16) == 16
-    assert oracle.diagonal_level([0, 1], 16, max_level=15) is None
 
 
 def test_level_rules_agree_on_all_forms():
@@ -151,7 +148,7 @@ def test_level_rules_agree_on_all_forms():
         for k in (1, 2, 3):
             for form in enumerate_canonical_forms(m, k):
                 dense = oracle.hierarchy_level(oracle.dense_diagonal(form), max_k=3)
-                assert oracle.diagonal_level(oracle.dense_exponents(form), k, k) == dense
+                assert oracle.diagonal_level(oracle.dense_exponents(form), k) == dense
                 assert form_level(form) == dense
                 count += 1
     assert count == 306
@@ -160,10 +157,6 @@ def test_level_rules_agree_on_all_forms():
 def test_diagonal_level_guards():
     with pytest.raises(ValueError, match="m <= 4"):
         oracle.diagonal_level(np.zeros(32, dtype=np.int64), 3)
-    with pytest.raises(ValueError, match=r"max_level=20 outside \[1, 19\]"):
-        oracle.diagonal_level([0, 1], 3, max_level=oracle.MAX_DIAGONAL_LEVEL + 1)
-    with pytest.raises(ValueError, match=r"max_level=0 outside"):
-        oracle.diagonal_level([0, 1], 3, max_level=0)
     for bad in ([0, 1, 2], [[0, 1]]):
         with pytest.raises(ValueError, match="power-of-two length"):
             oracle.diagonal_level(bad, 3)
