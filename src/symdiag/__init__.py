@@ -36,10 +36,10 @@ from .oracle import (
     dense_pauli,
     dense_unitary,
     equal_up_to_global_phase,
-    diagonal_level,
+    diagonal_levels,
     hierarchy_level,
 )
-from .pauli import PauliLabel, PhasedPauli, commutes, multiply, symplectic_inner
+from .pauli import PauliLabel, PhasedPauli, multiply, symplectic_inner
 from .ring import xor_as_ring
 from .symplectic import (
     CliffordGen,
@@ -83,14 +83,13 @@ __all__ = [
     "circuit_from_dict",
     "circuit_to_dict",
     "clifford_conjugate",
-    "commutes",
     "conjugate",
     "conjugate_dense",
     "dense_diagonal",
     "dense_pauli",
     "dense_unitary",
     "diagonal_entries",
-    "diagonal_level",
+    "diagonal_levels",
     "enumerate_canonical_forms",
     "form_level",
     "equal_up_to_global_phase",

@@ -7,9 +7,11 @@ adds up the counts (1 per case, or the basis states a case covers),
 `max_deviation` is the largest deviation seen, and the run stops at the
 first case whose deviation exceeds the tolerance, reporting its detail.
 The detail is a thunk, called only for that failing case.  All
-identities are exact: a modular or level check has tolerance 0 and
-deviation 1.0 on a mismatch (its largest residue for the mod-4 check),
-and a dense check compares complex matrices entrywise within oracle.ATOL.
+identities are exact: a modular, level or monomial check (both
+conjugation checks) compares integers, with tolerance 0 and deviation 1.0
+on a mismatch (its largest residue for the mod-4 check); a dense check
+(the exponent shift, sandwich and Clifford-sign checks; H is not
+monomial) compares complex matrices entrywise within oracle.ATOL.
 """
 
 from __future__ import annotations
@@ -41,7 +43,10 @@ from .oracle import (
     dense_exponents,
     dense_pauli,
     dense_unitary,
-    diagonal_level,
+    diagonal_levels,
+    monomial_diagonal,
+    monomial_pauli,
+    monomial_product,
 )
 from .pauli import PauliLabel, multiply
 from .symplectic import (
@@ -106,40 +111,40 @@ def _binary_labels(m: int) -> list[PauliLabel]:
     return [PauliLabel(a, b) for a in V for b in V]
 
 
-def _xi(k: int) -> complex:
-    return complex(np.exp(2j * math.pi / (1 << k)))
-
-
-def reconstruct_dense(form: SymForm, p: PauliLabel, flip_phase: bool = False) -> np.ndarray:
-    """Dense right-hand side xi^phi E(label) tau(residual) of a conjugation."""
-    res = conjugate(form, p)
-    phi = -res.phase_exponent if flip_phase else res.phase_exponent
-    phase = _xi(form.k) ** phi
-    return phase * dense_pauli(res.label) @ dense_diagonal(res.residual)
+def reconstruct(form: SymForm, labels, flip_phase: bool = False) -> np.ndarray:
+    """Stacked monomials xi^phi E(label) gate(residual, k-1), K = max(k, 2),
+    of the conjugations of labels; conjugate runs once per label, in order."""
+    K = max(form.k, 2)
+    steps = [conjugate(form, p) for p in labels]
+    paulis = monomial_pauli(np.array([s.label.a for s in steps]),
+                            np.array([s.label.b for s in steps]), K)
+    diagonals = [np.array(c) for c in zip(*(monomial_diagonal(s.residual, K) for s in steps))]
+    rows, theta = monomial_product(paulis, diagonals, K)
+    phi = np.array([s.phase_exponent for s in steps]) * (-1 if flip_phase else 1)
+    return np.stack((rows, (theta + (phi << (K - form.k))[:, None]) % (1 << K)), axis=1)
 
 
 def check_conjugation_exactness(
-    m: int,
-    k: int,
-    samples: int,
-    rng: np.random.Generator,
-    exhaustive_paulis: bool = True,
-    tol: float = ATOL,
-    flip_phase: bool = False,
+    m: int, k: int, samples: int, rng: np.random.Generator,
+    exhaustive_paulis: bool = True, tol: float = 0.0, flip_phase: bool = False,
 ) -> CheckResult:
-    """Dense equality of both sides of the conjugation identity."""
+    """Both sides of the conjugation identity as exact monomials, for all
+    labels of a form at once: D E(p) D^dagger by index arithmetic."""
     labels = _binary_labels(m)
+    K = max(k, 2)
 
     def cases():
         for _ in range(samples):
             form = random_canonical_form(rng, m, k)
-            u = dense_diagonal(form)
             use = labels if exhaustive_paulis else [
                 labels[rng.integers(len(labels))] for _ in range(4)]
-            for p in use:
-                lhs = conjugate_dense(u, dense_pauli(p))
-                dev = _deviation(lhs, reconstruct_dense(form, p, flip_phase=flip_phase))
-                yield 1, dev, lambda: {"R": form.entries.tolist(), **p.to_dict()}
+            rows, theta = monomial_diagonal(form, K)
+            paulis = monomial_pauli(np.array([p.a for p in use]), np.array([p.b for p in use]), K)
+            lhs = np.stack(monomial_product((rows, theta), monomial_product(
+                paulis, (rows, -theta), K), K), axis=1)
+            bad = (lhs != reconstruct(form, use, flip_phase)).any(axis=(1, 2))
+            for p, dev in zip(use, bad):
+                yield 1, float(dev), lambda: {"R": form.entries.tolist(), **p.to_dict()}
 
     return _first_failure(f"conjugation-exactness(m={m},k={k})", cases(), tol)
 
@@ -273,7 +278,7 @@ def check_exponent_conjugation_shift(
 ) -> CheckResult:
     """Conjugating the residual diagonal by E(e0, f) permutes its exponent
     list by v -> v XOR e0: checked on lists and as dense matrices."""
-    xi = _xi(k)
+    xi = complex(np.exp(2j * math.pi / (1 << k)))
 
     def cases():
         for _ in range(samples):
@@ -327,7 +332,8 @@ def check_conjugation_homomorphism(
     samples: int, rng: np.random.Generator, m: int = 2, k: int = 3
 ) -> CheckResult:
     """Conjugation respects the Pauli product: the symbolic result of the
-    product label equals the product of the symbolic results, densely."""
+    product label equals the product of the symbolic results, as monomials."""
+    K = max(k, 2)
 
     def cases():
         for _ in range(samples):
@@ -335,11 +341,13 @@ def check_conjugation_homomorphism(
             p = PauliLabel(random_int_vector(rng, m), random_int_vector(rng, m))
             q = PauliLabel(random_int_vector(rng, m), random_int_vector(rng, m))
             prod = multiply(p, q)
-            lhs = prod.phase * reconstruct_dense(form, prod.label)
-            dev = _deviation(lhs, reconstruct_dense(form, p) @ reconstruct_dense(form, q))
-            yield 1, dev, lambda: {"R": form.entries.tolist(), "p": p.to_dict(), "q": q.to_dict()}
+            (rows, theta), mp, mq = reconstruct(form, [prod.label, p, q])
+            lhs = rows, (theta + (prod.phase_num << (K - prod.phase_log2_den))) % (1 << K)
+            rhs = monomial_product(mp, mq, K)
+            yield 1, float(not np.array_equal(lhs, rhs)), lambda: {
+                "R": form.entries.tolist(), "p": p.to_dict(), "q": q.to_dict()}
 
-    return _first_failure("conjugation-homomorphism", cases(), ATOL)
+    return _first_failure("conjugation-homomorphism", cases())
 
 
 SIGN_CHECK_SAMPLES = 4
@@ -387,12 +395,13 @@ def check_clifford_signs(m: int, rng: np.random.Generator) -> CheckResult:
 def check_hierarchy_membership(m: int, k: int) -> CheckResult:
     """Every canonical form at (m, k) builds a gate whose level, decided by
     the oracle's shift-difference recursion on its own exponent list
-    (oracle.diagonal_level), equals the closed-form
-    form_level read off its entries."""
+    (oracle.diagonal_levels, one call for all forms), equals the
+    closed-form form_level read off its entries."""
+    forms = list(enumerate_canonical_forms(m, k))
+    levels = diagonal_levels(np.array([dense_exponents(f) for f in forms]), k)
 
     def cases():
-        for form in enumerate_canonical_forms(m, k):
-            level = diagonal_level(dense_exponents(form), k)
+        for form, level in zip(forms, levels):
             yield 1, float(level != form_level(form)), lambda: {
                 "R": form.entries.tolist(), "level": level}
 

@@ -1,15 +1,17 @@
-"""Dense ground truth at small qubit counts.
+"""Dense and monomial ground truth at small qubit counts.
 
 Everything here is built straight from the definitions, independent of
 the symbolic calculus, and exists to verify it: explicit 2^m x 2^m
-operators, and exponent lists evaluated on the full table of basis
-vectors.  Entries of all constructed operators have magnitude 1 or 0, so
-a comparison tolerance of 1e-8 leaves orders of magnitude of headroom at
-m <= 4.  Hierarchy levels of diagonal gates are decided exactly, in
-integers: diagonal_level recurses through the shift differences of an
-exponent list.  The dense hierarchy_level recursion covers general
-unitaries, but only up to level 3 and m <= 2.  The only state kept is
-read-only tables, one per qubit count up to the dense guard.
+operators, exponent lists over the full table of basis vectors, and
+monomials.  A monomial is a pair (rows, theta) of int64 arrays: column v
+holds omega^theta[v] at row rows[v], omega = exp(2*pi*i / 2^K).  Paulis,
+diagonal gates and their products are monomial, so identities among them
+are compared exactly, mod 2^K.  ATOL (1e-8, with orders of magnitude of
+headroom at m <= 4) serves only the dense checks and the tracker's oracle
+comparison.  diagonal_levels decides hierarchy levels of diagonal gates
+exactly, in integers; the dense hierarchy_level covers general unitaries,
+but only up to level 3 and m <= 2.  The only state kept is read-only
+tables, one per qubit count up to the dense guard.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from . import ring
 from .diagonal import SymForm, index_vectors
 from .pauli import PauliLabel
 
-#: tolerance for membership-style tests (dense hierarchy levels, sign resolution)
+#: tolerance of the dense comparisons (dense checks and levels, the tracker replay)
 ATOL = 1e-8
 
 #: cost guard for generic dense construction
@@ -90,6 +92,31 @@ def dense_diagonal(form: SymForm) -> np.ndarray:
     return np.diag(np.exp(2j * math.pi * dense_exponents(form) / ring.modulus(form.k)))
 
 
+def monomial_pauli(a, b, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """E(a, b) as dense_pauli builds it, at K >= 2, or one per row of label
+    tables: rows v XOR a0, theta 2^(K-2) (a.b mod 4) + 2^(K-1) (v.b0 mod 2)."""
+    m = a.shape[-1]
+    rows = np.arange(1 << m) ^ ((a & 1) @ _index_weights(m))[..., None]
+    signs = (b & 1) @ _basis_vectors(m).T % 2
+    theta = (1 << (K - 2)) * ((a * b).sum(-1) % 4)[..., None] + (1 << (K - 1)) * signs
+    return rows, theta % (1 << K)
+
+
+def monomial_diagonal(form: SymForm, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Monomial of the level-k gate of form, k <= K: identity rows and
+    theta = 2^(K-k) e for the exponent list e of dense_exponents."""
+    e = dense_exponents(form)
+    return np.arange(e.size), e << (K - form.k)
+
+
+def monomial_product(x, y, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """(r1, t1)(r2, t2) = (r1[r2], t2 + t1[r2]) mod 2^K; on stacks of
+    monomials, one per row, row by row (a single monomial broadcasts)."""
+    (r1, t1), (r2, t2) = x, y
+    r1, t1, r2 = np.broadcast_arrays(r1, t1, r2)
+    return np.take_along_axis(r1, r2, -1), (t2 + np.take_along_axis(t1, r2, -1)) % (1 << K)
+
+
 def _is_z_type(d: np.ndarray, half: int) -> bool:
     """True iff d = half * f for a GF(2)-linear f with values in {0, 1}.
 
@@ -104,8 +131,8 @@ def _is_z_type(d: np.ndarray, half: int) -> bool:
     return np.array_equal(_basis_vectors(m) @ f[_index_weights(m)] % 2, f)
 
 
-def diagonal_level(exponents, k: int) -> int:
-    """Hierarchy level of the diagonal gate xi^e.
+def diagonal_levels(table, k: int) -> list[int]:
+    """Hierarchy level of the diagonal gate xi^e, for each row e of table.
 
     e is an exponent list mod 2^k over the basis in index order, and
     xi = exp(2*pi*i / 2^k).  Level 1 means e - e[0] is 2^(k-1) times a
@@ -113,28 +140,28 @@ def diagonal_level(exponents, k: int) -> int:
     Delta_a(v) = e(v XOR a) - e(v), and every level is closed under
     Pauli products, D is at level 1 + the largest level of Delta_a,
     a != 0.  A diagonal with 2^k-th root entries on m qubits sits at
-    level <= k + m - 1, so the recursion ends.  Integer arithmetic
-    throughout, with no tolerance; the level of each normalised
-    difference list is memoised within one call.
+    level <= k + m - 1, so the recursion ends.  Integers throughout, no
+    tolerance; the level of a normalised difference list does not depend
+    on its row, so all rows share one memo.
     """
-    e = ring.as_integers(exponents)
-    n = e.size
-    if e.ndim != 1 or n & (n - 1) or n == 0:
-        raise ValueError(f"need a 1-d exponent list of power-of-two length, got shape {e.shape}")
+    e = ring.as_integers(table)
+    n = e.shape[1] if e.ndim == 2 else 0
+    if n & (n - 1) or n == 0:
+        raise ValueError(f"need a 2-d exponent table of power-of-two row length, got shape {e.shape}")
     _check_dense_m(n.bit_length() - 1)
     M = ring.modulus(ring.check_level(k))
-    idx = np.arange(n)
+    shifts = np.arange(n) ^ np.arange(1, n)[:, None]
     memo: dict[bytes, int] = {}
 
     def level(d: np.ndarray) -> int:
-        d = (d - d[0]) % M
         key = d.tobytes()
         if key not in memo:
+            diffs = d[shifts] - d
             memo[key] = 1 if _is_z_type(d, M >> 1) else 1 + max(
-                level(d[idx ^ a] - d) for a in range(1, n))
+                level(x) for x in (diffs - diffs[:, :1]) % M)
         return memo[key]
 
-    return level(e)
+    return [level(d) for d in (e - e[:, :1]) % M]
 
 
 def _hadamard(m: int) -> np.ndarray:
@@ -247,7 +274,7 @@ def hierarchy_level(u: np.ndarray, max_k: int = MAX_EXACT_LEVEL, tol: float = AT
     """Smallest level k <= max_k containing u, or None if there is none.
 
     The reference for general, non-diagonal unitaries; diagonal gates have
-    the exact integer rule diagonal_level.  Level 1 is a strict Pauli
+    the exact integer rule diagonal_levels.  Level 1 is a strict Pauli
     match (i-power times a tensor of X, Z); higher levels recurse through
     conjugation of the single-qubit X- and Z-type generators, which
     generate all Paulis.  The recursion through generators alone is exact

@@ -126,8 +126,3 @@ def symplectic_inner(p: PauliLabel, q: PauliLabel) -> int:
     a0, b0 = p.a & 1, p.b & 1
     c0, d0 = q.a & 1, q.b & 1
     return int(a0 @ d0 + b0 @ c0) % 2
-
-
-def commutes(p: PauliLabel, q: PauliLabel) -> bool:
-    """True iff E(p) and E(q) commute as matrices."""
-    return symplectic_inner(p, q) == 0

@@ -58,6 +58,20 @@ def _shifted_phase(orig):
     return conjugate
 
 
+def _without_i_power(orig):
+    """The monomial Pauli without its i^(a.b) prefactor."""
+    def monomial_pauli(a, b, K):
+        rows, theta = orig(a, b, K)
+        return rows, (theta - (1 << (K - 2)) * (np.sum(a * b, axis=-1) % 4)[..., None]) % (1 << K)
+    return monomial_pauli
+
+
+def _residual_scaled_one_level_up(orig):
+    """The residual, the one form below level K, scaled by 2^(K-k) in place
+    of 2^(K-k+1)."""
+    return lambda form, K: orig(form, K - (form.k < K))
+
+
 def _sign_flipped_product(orig):
     def multiply(p, q):
         prod = orig(p, q)
@@ -75,7 +89,7 @@ def _valuation_off_by_one(orig):
 
 
 def _quarter_turn_as_level_one(orig):
-    """The level-1 test of diagonal_level with 2^(k-2) in place of 2^(k-1)."""
+    """The level-1 test of diagonal_levels with 2^(k-2) in place of 2^(k-1)."""
     return lambda d, half: orig(d, half // 2)
 
 
@@ -89,6 +103,13 @@ def _rng(seed=3):
 FAULTS = [
     (lambda: checks.check_conjugation_exactness(2, 3, 5, _rng()), checks, "conjugate",
      _shifted_phase, "conjugation-exactness(m=2,k=3)", 1, {"R", "a", "b"}),
+    # the monomial oracle without the i^(a.b) of E(a, b), and with the
+    # residual scaled as if it were at level k: both first show on the
+    # fifth label, a = (0, 1), b = (0, 0), whose image has a.b = 1
+    (lambda: checks.check_conjugation_exactness(2, 3, 5, _rng()), checks, "monomial_pauli",
+     _without_i_power, "conjugation-exactness(m=2,k=3)", 5, {"R", "a", "b"}),
+    (lambda: checks.check_conjugation_exactness(2, 3, 5, _rng()), checks, "monomial_diagonal",
+     _residual_scaled_one_level_up, "conjugation-exactness(m=2,k=3)", 5, {"R", "a", "b"}),
     (lambda: checks.check_xor_quadratic_identity(5, _rng(1)), ring, "xor_as_ring",
      lambda orig: lambda v, w, k: v + w, "xor-quadratic-identity", 1, {"v", "w", "R"}),
     (lambda: checks.check_level2_exponents_vanish(2), checks, "residual_exponent_list",
@@ -117,8 +138,8 @@ FAULTS = [
     (lambda: checks.check_clifford_signs(1, _rng()), checks, "clifford_conjugate",
      lambda orig: lambda gen, label: (-orig(gen, label)[0], orig(gen, label)[1]),
      "clifford-signs(m=1)", 1, {"gen", "params", "a", "b"}),
-    (lambda: checks.check_hierarchy_membership(1, 2), checks, "diagonal_level",
-     lambda orig: lambda e, k: orig(e, k) + 1, "hierarchy-membership(m=1,k=2)", 1,
+    (lambda: checks.check_hierarchy_membership(1, 2), checks, "diagonal_levels",
+     lambda orig: lambda t, k: [l + 1 for l in orig(t, k)], "hierarchy-membership(m=1,k=2)", 1,
      {"R", "level"}),
     # form_level off by one in its valuation, and a level-1 rule reading
     # 2^(k-2) where 2^(k-1) belongs: both first show on R = [[1]]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from symdiag import oracle
+from symdiag.checks import random_canonical_form
 from symdiag.diagonal import (
     SymForm,
     diagonal_entries,
@@ -127,17 +128,20 @@ def test_dense_exponents_match_calculus():
     assert oracle.dense_exponents(SymForm.zeros(2, 0)).tolist() == [0, 0, 0, 0]
 
 
+def _controlled_phases():
+    """CCZ, CC-S and CC-T at k=3: exponent 4, 2, 1 on |111>, not quadratic forms."""
+    return index_vectors(3).prod(axis=1) * np.array([[4], [2], [1]])
+
+
 def test_diagonal_level_multi_controlled_phases():
-    # CCZ, CC-S and CC-T at k=3: exponent 4, 2, 1 on |111>, not quadratic forms
-    ones = index_vectors(3).prod(axis=1)
-    assert [oracle.diagonal_level(c * ones, 3) for c in (4, 2, 1)] == [3, 4, 5]
+    assert oracle.diagonal_levels(_controlled_phases(), 3) == [3, 4, 5]
 
 
 def test_diagonal_level_single_qubit():
-    assert oracle.diagonal_level([0, 1], 3) == 3
-    assert oracle.diagonal_level([5, 5], 3) == 1  # a global phase
-    assert oracle.diagonal_level([3, 7], 3) == 1  # Z up to phase
-    assert oracle.diagonal_level([0, 1], 16) == 16
+    assert oracle.diagonal_levels([[0, 1]], 3) == [3]
+    assert oracle.diagonal_levels([[5, 5]], 3) == [1]  # a global phase
+    assert oracle.diagonal_levels([[3, 7]], 3) == [1]  # Z up to phase
+    assert oracle.diagonal_levels([[0, 1]], 16) == [16]
 
 
 def test_level_rules_agree_on_all_forms():
@@ -148,20 +152,102 @@ def test_level_rules_agree_on_all_forms():
         for k in (1, 2, 3):
             for form in enumerate_canonical_forms(m, k):
                 dense = oracle.hierarchy_level(oracle.dense_diagonal(form), max_k=3)
-                assert oracle.diagonal_level(oracle.dense_exponents(form), k) == dense
+                assert oracle.diagonal_levels([oracle.dense_exponents(form)], k) == [dense]
                 assert form_level(form) == dense
                 count += 1
     assert count == 306
 
 
+def test_shared_memo_matches_one_row_calls():
+    """One table under one memo against one-row calls: the 306 small forms,
+    each lifted to three qubits and level 3 (tensoring with identity and
+    writing xi_k^e as xi_3^(2^(3-k) e) keep the gate's level), and the
+    three controlled phases."""
+    small = [(m, k, oracle.dense_exponents(form)) for m in (1, 2) for k in (1, 2, 3)
+             for form in enumerate_canonical_forms(m, k)]
+    v = np.arange(8)
+    lifted = [e[v >> (3 - m)] << (3 - k) for m, k, e in small]
+    table = np.vstack([*lifted, _controlled_phases()])
+    one_row = [oracle.diagonal_levels([e], k)[0] for _, k, e in small]
+    one_row += [oracle.diagonal_levels([e], 3)[0] for e in _controlled_phases()]
+    assert oracle.diagonal_levels(table, 3) == one_row
+    assert one_row[-3:] == [3, 4, 5] and len(one_row) == 309
+
+
 def test_diagonal_level_guards():
     with pytest.raises(ValueError, match="m <= 4"):
-        oracle.diagonal_level(np.zeros(32, dtype=np.int64), 3)
-    for bad in ([0, 1, 2], [[0, 1]]):
-        with pytest.raises(ValueError, match="power-of-two length"):
-            oracle.diagonal_level(bad, 3)
+        oracle.diagonal_levels(np.zeros((1, 32), dtype=np.int64), 3)
+    for bad in ([0, 1], [[0, 1, 2]], [[[0, 1]]]):
+        with pytest.raises(ValueError, match="2-d exponent table of power-of-two row length"):
+            oracle.diagonal_levels(bad, 3)
     with pytest.raises(ValueError, match="level k=0"):
-        oracle.diagonal_level([0, 1], 0)
+        oracle.diagonal_levels([[0, 1]], 0)
+
+
+def _densify(mono, K):
+    rows, theta = mono
+    out = np.zeros((len(rows), len(rows)), dtype=complex)
+    out[rows, np.arange(len(rows))] = np.exp(2j * np.pi * theta / (1 << K))
+    return out
+
+
+def _labels(m, rng):
+    """Every binary label at m, then 20 random integer labels, entries in [0, 4)."""
+    V = index_vectors(m)
+    binary = [PauliLabel(a, b) for a in V for b in V]
+    return binary + [PauliLabel(rng.integers(0, 4, m), rng.integers(0, 4, m)) for _ in range(20)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_monomial_pauli_matches_dense(m):
+    rng = np.random.default_rng(m)
+    labels = _labels(m, rng)
+    for K in (2, 3, 5):
+        for p in labels:
+            mono = oracle.monomial_pauli(p.a, p.b, K)
+            assert np.allclose(_densify(mono, K), oracle.dense_pauli(p), atol=1e-12)
+        rows, theta = oracle.monomial_pauli(np.array([p.a for p in labels]),
+                                            np.array([p.b for p in labels]), K)
+        for i, p in enumerate(labels):
+            one = oracle.monomial_pauli(p.a, p.b, K)
+            assert np.array_equal(rows[i], one[0]) and np.array_equal(theta[i], one[1])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_monomial_diagonal_matches_dense(k):
+    rng = np.random.default_rng(10 + k)
+    for m in (1, 2, 3):
+        for _ in range(5):
+            form = random_canonical_form(rng, m, k)
+            for K in (max(k, 2), k + 2):
+                mono = oracle.monomial_diagonal(form, K)
+                assert np.allclose(_densify(mono, K), oracle.dense_diagonal(form), atol=1e-12)
+
+
+def test_monomial_product_matches_dense():
+    rng = np.random.default_rng(7)
+    for m in (1, 2, 3):
+        for k in (2, 3, 4):
+            for _ in range(5):
+                f, g = random_canonical_form(rng, m, k), random_canonical_form(rng, m, k - 1)
+                p, q = _labels(m, rng)[-2:]
+                monos = [oracle.monomial_pauli(p.a, p.b, k), oracle.monomial_pauli(q.a, q.b, k),
+                         oracle.monomial_diagonal(f, k), oracle.monomial_diagonal(g, k)]
+                for x in monos:
+                    for y in monos:
+                        assert np.allclose(_densify(oracle.monomial_product(x, y, k), k),
+                                           _densify(x, k) @ _densify(y, k), atol=1e-12)
+            # a stack of Paulis on either side of one diagonal, and two stacks
+            labels = _labels(m, rng)
+            stack = oracle.monomial_pauli(np.array([p.a for p in labels]),
+                                          np.array([p.b for p in labels]), k)
+            d = oracle.monomial_diagonal(f, k)
+            for left, right in ((d, stack), (stack, d), (stack, tuple(x[::-1] for x in stack))):
+                rows, theta = oracle.monomial_product(left, right, k)
+                for i in range(len(labels)):
+                    pick = [(r[i], t[i]) if r.ndim == 2 else (r, t) for r, t in (left, right)]
+                    assert np.allclose(_densify((rows[i], theta[i]), k),
+                                       _densify(pick[0], k) @ _densify(pick[1], k), atol=1e-12)
 
 
 def test_pauli_multiplication_law_dense():

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from symdiag import oracle
-from symdiag.pauli import PauliLabel, PhasedPauli, commutes, multiply, symplectic_inner
+from symdiag.pauli import PauliLabel, PhasedPauli, multiply, symplectic_inner
 
 X = PauliLabel((1,), (0,))
 Z = PauliLabel((0,), (1,))
@@ -49,13 +49,14 @@ def test_symplectic_inner_examples():
 
 
 def test_commutes_examples():
-    assert not commutes(X, Z)
+    # two Paulis commute exactly when their symplectic inner product is 0
+    assert symplectic_inner(X, Z) == 1
     ident = PauliLabel((0, 0), (0, 0))
-    assert commutes(PauliLabel((1, 1), (0, 1)), ident)
+    assert symplectic_inner(PauliLabel((1, 1), (0, 1)), ident) == 0
     # X(x)Z vs Z(x)X: inner product 1 + 1 = 0, so they commute
     p = PauliLabel((1, 0), (0, 1))
     q = PauliLabel((0, 1), (1, 0))
-    assert commutes(p, q)
+    assert symplectic_inner(p, q) == 0
     dp, dq = oracle.dense_pauli(p), oracle.dense_pauli(q)
     assert np.allclose(dp @ dq, dq @ dp)
 
