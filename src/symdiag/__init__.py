@@ -50,7 +50,6 @@ from .symplectic import (
     hadamard_generator,
     partial_hadamard_generator,
     phase_generator,
-    table1_generators,
 )
 from .tracker import (
     Circuit,
@@ -111,7 +110,6 @@ __all__ = [
     "standard_gate_table",
     "symplectic_inner",
     "synthesize",
-    "table1_generators",
     "tensor",
     "verify_against_oracle",
     "xor_as_ring",

@@ -7,16 +7,15 @@ adds up the counts (1 per case, or the basis states a case covers),
 `max_deviation` is the largest deviation seen, and the run stops at the
 first case whose deviation exceeds the tolerance, reporting its detail.
 The detail is a thunk, called only for that failing case.  All
-identities are exact: a modular, level or monomial check (both
-conjugation checks) compares integers, with tolerance 0 and deviation 1.0
-on a mismatch (its largest residue for the mod-4 check); a dense check
-(the exponent shift, sandwich and Clifford-sign checks; H is not
-monomial) compares complex matrices entrywise within oracle.ATOL.
+identities are exact: every check that `verify` runs compares integers
+(modular, level or monomial), with tolerance 0 and deviation 1.0 on a
+mismatch (its largest residue for the mod-4 check).  clifford-signs is
+the only dense check, because H is not monomial: it compares complex
+matrices entrywise within oracle.ATOL.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +38,6 @@ from .diagonal import (
 from .oracle import (
     ATOL,
     conjugate_dense,
-    dense_diagonal,
     dense_exponents,
     dense_pauli,
     dense_unitary,
@@ -277,8 +275,8 @@ def check_exponent_conjugation_shift(
     samples: int, rng: np.random.Generator, m: int = 2, k: int = 3
 ) -> CheckResult:
     """Conjugating the residual diagonal by E(e0, f) permutes its exponent
-    list by v -> v XOR e0: checked on lists and as dense matrices."""
-    xi = complex(np.exp(2j * math.pi / (1 << k)))
+    list by v -> v XOR e0: checked on lists and as exact monomials."""
+    K = max(k, 2)
 
     def cases():
         for _ in range(samples):
@@ -286,46 +284,53 @@ def check_exponent_conjugation_shift(
             a, b = random_int_vector(rng, m), random_int_vector(rng, m)
             e, f = random_int_vector(rng, m), random_int_vector(rng, m)
             vals = residual_exponent_list(form, PauliLabel(a, b))
-            shifted = _shifted(vals, e & 1)
-            diag = np.diag(xi ** vals.astype(complex))
-            ep = dense_pauli(PauliLabel(e, f))
-            dev = _deviation(ep @ diag @ ep, np.diag(xi ** shifted.astype(complex)))
+            ep = monomial_pauli(e, f, K)
+            diag = np.arange(len(vals)), vals << (K - k)
+            lhs = monomial_product(ep, monomial_product(diag, ep, K), K)
+            dev = float(not np.array_equal(lhs, (diag[0], _shifted(vals, e & 1) << (K - k))))
             yield 1, dev, lambda: {"R": form.entries.tolist(), "e": e.tolist(), "f": f.tolist()}
 
-    return _first_failure("exponent-conjugation-shift", cases(), ATOL)
+    return _first_failure("exponent-conjugation-shift", cases())
 
 
 def check_sandwich_product_identity(
     samples: int, rng: np.random.Generator, m: int = 2, k: int = 3
 ) -> CheckResult:
-    """Dense sandwiched-product identity with e = b0 + a0 R, f = d0 + c0 R,
-    the unreduced labels of the row action of Gamma(R).  Its sign sees a0 R c0
-    twice and the second layers never, so e and f are also compared with the
-    rows [a0, b0] Gamma(R), [c0, d0] Gamma(R) mod 2^k (deviation 1 if not)."""
+    """Sandwiched-product identity, as exact monomials, with e = b0 + a0 R,
+    f = d0 + c0 R, the unreduced labels of the row action of Gamma(R).  Its
+    sign sees a0 R c0 twice and the second layers never, so e and f are also
+    compared with the rows [a0, b0] Gamma(R), [c0, d0] Gamma(R) mod 2^k."""
     M = 1 << k
+    K = max(k, 2)
 
     def cases():
         for _ in range(samples):
             form = random_canonical_form(rng, m, k)
-            u = dense_diagonal(form)
             a, b = random_int_vector(rng, m), random_int_vector(rng, m)
             c, d = random_int_vector(rng, m), random_int_vector(rng, m)
             a0, b0 = a & 1, b & 1
             c0, d0 = c & 1, d & 1
             _, e = apply_gamma(PauliLabel(a0, b0), form)
             _, f = apply_gamma(PauliLabel(c0, d0), form)
-            conj_ab = conjugate_dense(u, dense_pauli(PauliLabel(a, b)))
-            conj_cd = conjugate_dense(u, dense_pauli(PauliLabel(c, d)))
-            pa = dense_pauli(PauliLabel(a0, e))
-            pc = dense_pauli(PauliLabel(c0, f))
-            dev = _deviation(conj_cd @ conj_ab, (pa @ conj_cd @ pa) @ (pc @ conj_ab @ pc))
-            rows = np.block([[a0, b0], [c0, d0]]) @ gamma_matrix(form) % M
-            dev = max(dev, float(not np.array_equal(rows[:, m:], [e, f])))
-            yield 1, dev, lambda: {
+            rows, theta = monomial_diagonal(form, K)
+            # stacks of monomials, indexed [rows or theta, operator, column]
+            paulis = np.stack(monomial_pauli(np.array([a, c, a0, c0]), np.array([b, d, e, f]), K))
+            # C_ab = D E(a, b) D^dagger and C_cd = D E(c, d) D^dagger
+            conj = np.stack(monomial_product((rows, theta), monomial_product(
+                paulis[:, :2], (rows, -theta), K), K))
+            sides = paulis[:, 2:]  # E(a0, e), E(c0, f)
+            sandwiched = np.stack(monomial_product(sides, monomial_product(
+                conj[:, ::-1], sides, K), K))
+            ops = np.concatenate((conj, sandwiched), 1)
+            # C_cd C_ab and (E(a0, e) C_cd E(a0, e)) (E(c0, f) C_ab E(c0, f))
+            lhs, rhs = np.stack(monomial_product(ops[:, [1, 2]], ops[:, [0, 3]], K), 1)
+            gamma_rows = np.block([[a0, b0], [c0, d0]]) @ gamma_matrix(form) % M
+            ok = np.array_equal(lhs, rhs) and np.array_equal(gamma_rows[:, m:], [e, f])
+            yield 1, float(not ok), lambda: {
                 "R": form.entries.tolist(), "a": a.tolist(), "b": b.tolist(),
                 "c": c.tolist(), "d": d.tolist()}
 
-    return _first_failure("sandwich-product-identity", cases(), ATOL)
+    return _first_failure("sandwich-product-identity", cases())
 
 
 def check_conjugation_homomorphism(

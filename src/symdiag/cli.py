@@ -62,20 +62,40 @@ def _emit(obj) -> None:
     print(json.dumps(obj))
 
 
+def _is_entry(z) -> bool:
+    """A real number or an [re, im] pair of them: exactly int or float, since bool is an int."""
+    if type(z) is list:
+        return len(z) == 2 and type(z[0]) in (int, float) and type(z[1]) in (int, float)
+    return type(z) in (int, float)
+
+
 def _exponents_from_diagonal(diag, k_hint: int) -> tuple[int, np.ndarray, complex]:
-    """Match complex diagonal entries to powers of exp(2*pi*i/2^k).
+    """Match complex diagonal entries, each a real number or an [re, im] pair
+    of real numbers, to powers of exp(2*pi*i/2^k).
 
     Escalates k from k_hint until every entry matches within tolerance or
     the cap is hit.  The first entry's phase is returned for reporting and
     divided out before matching.
     """
-    values = [complex(z[0], z[1]) if isinstance(z, (list, tuple)) else complex(z) for z in diag]
+    if not isinstance(diag, list):
+        raise CLIError("diagonal payload must be a list of entries")
+    try:
+        values = [complex(*z) if isinstance(z, list) and len(z) == 2 else complex(z, 0)
+                  for z in diag]
+        z = np.array(values, dtype=complex)
+        off_circle = ~(np.abs(np.abs(z) - 1.0) <= PHASE_MATCH_TOL)
+        # complex() takes boolean parts, which put an entry off the circle or on an axis
+        suspects = np.flatnonzero(off_circle | (z.real * z.imag == 0)).tolist()
+    except TypeError:
+        suspects = range(len(diag))
+    bad = next((i for i in suspects if not _is_entry(diag[i])), None)
+    if bad is not None:
+        raise CLIError(f"diagonal entry {bad} ({json.dumps(diag[bad])}) is not a real number"
+                       " or an [re, im] pair of real numbers")
     if not values:
         raise CLIError("diagonal payload is empty")
-    z = np.array(values, dtype=complex)
-    off_circle = np.flatnonzero(~(np.abs(np.abs(z) - 1.0) <= PHASE_MATCH_TOL))
-    if len(off_circle):
-        raise CLIError(f"diagonal entry {values[off_circle[0]]} does not have unit modulus")
+    if off_circle.any():
+        raise CLIError(f"diagonal entry {values[off_circle.argmax()]} does not have unit modulus")
     phase0 = values[0]
     z /= phase0
     angle = np.arctan2(z.imag, z.real) % (2 * math.pi)

@@ -6,12 +6,14 @@ operators, exponent lists over the full table of basis vectors, and
 monomials.  A monomial is a pair (rows, theta) of int64 arrays: column v
 holds omega^theta[v] at row rows[v], omega = exp(2*pi*i / 2^K).  Paulis,
 diagonal gates and their products are monomial, so identities among them
-are compared exactly, mod 2^K.  ATOL (1e-8, with orders of magnitude of
-headroom at m <= 4) serves only the dense checks and the tracker's oracle
-comparison.  diagonal_levels decides hierarchy levels of diagonal gates
-exactly, in integers; the dense hierarchy_level covers general unitaries,
-but only up to level 3 and m <= 2.  The only state kept is read-only
-tables, one per qubit count up to the dense guard.
+are compared exactly, mod 2^K; dense Paulis and dense L_Q are their
+monomials densified by dense_monomial, with entries rounded to about
+1e-16.  ATOL (1e-8, with orders of magnitude of headroom at m <= 4)
+serves only the dense Clifford-sign check, hierarchy_level and the
+tracker's oracle comparison.  diagonal_levels decides hierarchy levels
+of diagonal gates exactly, in integers; the dense hierarchy_level covers
+general unitaries, but only up to level 3 and m <= 2.  The only state
+kept is read-only tables, one per qubit count up to the dense guard.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from . import ring
 from .diagonal import SymForm, index_vectors
 from .pauli import PauliLabel
 
-#: tolerance of the dense comparisons (dense checks and levels, the tracker replay)
+#: tolerance of the dense comparisons (Clifford signs, dense levels, the tracker replay)
 ATOL = 1e-8
 
 #: cost guard for generic dense construction
@@ -58,27 +60,18 @@ def _index_weights(m: int) -> np.ndarray:
     return w
 
 
-def _dense_xz(a0: np.ndarray, b0: np.ndarray) -> np.ndarray:
-    """Phaseless tensor product X^a1 Z^b1 (x) ... (x) X^am Z^bm.
-
-    Column v holds (-1)^(v . b0) at row v XOR a0.
-    """
-    m = len(a0)
-    n = 1 << m
-    V = _basis_vectors(m)
-    rows = np.arange(n) ^ int(a0 @ _index_weights(m))
-    signs = (-1.0) ** (V @ b0)
+def dense_monomial(mono, K: int) -> np.ndarray:
+    """The dense 2^m x 2^m matrix of the monomial (rows, theta) at 2^K-th roots."""
+    rows, theta = mono
+    n = len(rows)
     out = np.zeros((n, n), dtype=complex)
-    out[rows, np.arange(n)] = signs
+    out[rows, np.arange(n)] = np.exp(theta * (2j * math.pi / (1 << K)))
     return out
 
 
 def dense_pauli(p: PauliLabel) -> np.ndarray:
-    """Dense Hermitian Pauli E(a, b) with its i^(a.b mod 4) prefactor."""
-    _check_dense_m(p.m)
-    a, b = p.a, p.b
-    phase = 1j ** (int(a @ b) % 4)
-    return phase * _dense_xz(a & 1, b & 1)
+    """Dense Hermitian Pauli E(a, b), densified from its monomial."""
+    return dense_monomial(monomial_pauli(p.a, p.b, 2), 2)
 
 
 def dense_exponents(form: SymForm) -> np.ndarray:
@@ -93,7 +86,7 @@ def dense_diagonal(form: SymForm) -> np.ndarray:
 
 
 def monomial_pauli(a, b, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """E(a, b) as dense_pauli builds it, at K >= 2, or one per row of label
+    """E(a, b) = i^(a.b mod 4) X^a0 Z^b0 at K >= 2, or one per row of label
     tables: rows v XOR a0, theta 2^(K-2) (a.b mod 4) + 2^(K-1) (v.b0 mod 2)."""
     m = a.shape[-1]
     rows = np.arange(1 << m) ^ ((a & 1) @ _index_weights(m))[..., None]
@@ -185,10 +178,8 @@ def dense_unitary(gen) -> np.ndarray:
         t = gen.params["t"]
         return np.kron(np.eye(1 << t, dtype=complex), _hadamard(m - t))
     if gen.kind == "L_Q":
-        n = 1 << m
-        out = np.zeros((n, n), dtype=complex)
-        out[(_basis_vectors(m) @ gen.params["Q"] % 2) @ _index_weights(m), np.arange(n)] = 1.0
-        return out
+        rows = (_basis_vectors(m) @ gen.params["Q"] % 2) @ _index_weights(m)
+        return dense_monomial((rows, np.zeros_like(rows)), 1)
     if gen.kind == "T_R":
         return dense_diagonal(SymForm(gen.params["R"], 2))
     raise ValueError(f"unknown Clifford generator kind: {gen.kind!r}")
@@ -225,29 +216,15 @@ def pauli_decomposition(u: np.ndarray, tol: float = ATOL):
 
     Such a matrix has one nonzero per column, at row v XOR a, with value
     i^kappa (-1)^(v.b); the candidate (kappa, a, b) is read off the first
-    column and the weight-1 columns, then verified entrywise.
+    column and the weight-1 columns, then checked against dense_pauli.
     """
-    n = u.shape[0]
-    m = n.bit_length() - 1
-    col0 = u[:, 0]
-    row = int(np.argmax(np.abs(col0)))
-    lead = col0[row]
-    kappa = next((c for c in range(4) if abs(lead - 1j**c) <= tol), None)
-    if kappa is None:
-        return None
-    a = np.array([(row >> (m - 1 - i)) & 1 for i in range(m)], dtype=np.int64)
-    b = np.zeros(m, dtype=np.int64)
-    for i in range(m):
-        col = 1 << (m - 1 - i)
-        val = u[col ^ row, col] / lead
-        if abs(val - 1.0) <= tol:
-            b[i] = 0
-        elif abs(val + 1.0) <= tol:
-            b[i] = 1
-        else:
-            return None
-    if np.allclose(u, (1j**kappa) * _dense_xz(a, b), atol=tol):
-        return kappa, tuple(int(x) for x in a), tuple(int(x) for x in b)
+    w = _index_weights(u.shape[0].bit_length() - 1)  # the weight-1 columns
+    row = int(np.argmax(np.abs(u[:, 0])))
+    kappa = round(np.angle(u[row, 0]) / (math.pi / 2)) % 4
+    a = (row & w > 0).astype(np.int64)
+    b = (np.real(u[w ^ row, w] * np.conj(u[row, 0])) < 0).astype(np.int64)
+    if np.allclose(u, 1j ** ((kappa - int(a @ b)) % 4) * dense_pauli(PauliLabel(a, b)), atol=tol):
+        return kappa, tuple(a.tolist()), tuple(b.tolist())
     return None
 
 

@@ -182,22 +182,6 @@ def partial_hadamard_generator(m: int, t: int) -> CliffordGen:
     return CliffordGen("partialH", F, {"t": t})
 
 
-def table1_generators(m: int, Q=None, R=None, t: int = 0) -> list[CliffordGen]:
-    """The four standard generators at the given parameters.
-
-    Defaults: Q = I (trivial basis change), R = 0 (trivial phase layer),
-    t = 0 (full transversal Hadamard for the partial-Hadamard slot).
-    """
-    Q = np.eye(m, dtype=np.int64) if Q is None else Q
-    R = np.zeros((m, m), dtype=np.int64) if R is None else R
-    return [
-        hadamard_generator(m),
-        basis_change_generator(Q),
-        phase_generator(R),
-        partial_hadamard_generator(m, t),
-    ]
-
-
 def generator_from_dict(m: int, d: dict) -> CliffordGen:
     """Rebuild a generator from its JSON form {"gen": ..., "params": ...}."""
     kind = d["gen"]

@@ -66,6 +66,14 @@ def _without_i_power(orig):
     return monomial_pauli
 
 
+def _times_i(orig):
+    """The monomial Pauli times i: theta + 2^(K-2)."""
+    def monomial_pauli(a, b, K):
+        rows, theta = orig(a, b, K)
+        return rows, (theta + (1 << (K - 2))) % (1 << K)
+    return monomial_pauli
+
+
 def _residual_scaled_one_level_up(orig):
     """The residual, the one form below level K, scaled by 2^(K-k) in place
     of 2^(K-k+1)."""
@@ -121,8 +129,11 @@ FAULTS = [
      {"R", "a", "b", "c", "d"}),
     (lambda: checks.check_shift_difference_symmetry(5, _rng(0)), checks, "residual_exponent_list",
      _plus(np.arange), "shift-difference-symmetry", 1, {"R", "a", "c"}),
-    (lambda: checks.check_exponent_conjugation_shift(5, _rng()), checks, "dense_pauli",
-     lambda orig: lambda p: 1j * orig(p), "exponent-conjugation-shift", 1, {"R", "e", "f"}),
+    (lambda: checks.check_exponent_conjugation_shift(5, _rng()), checks, "monomial_pauli",
+     _times_i, "exponent-conjugation-shift", 1, {"R", "e", "f"}),
+    # the exponent list left unshifted: shows first where e0 != 0 moves the list
+    (lambda: checks.check_exponent_conjugation_shift(5, _rng()), checks, "_shifted",
+     lambda orig: lambda vals, e0: vals, "exponent-conjugation-shift", 3, {"R", "e", "f"}),
     (lambda: checks.check_sandwich_product_identity(5, _rng(2)), checks, "apply_gamma",
      lambda orig: lambda label, form: (orig(label, form)[0], orig(label, form)[1] ^ 1),
      "sandwich-product-identity", 1, {"R", "a", "b", "c", "d"}),

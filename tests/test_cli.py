@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from symdiag.cli import build_parser, main
 
 
@@ -81,6 +83,19 @@ class TestSynth:
         payload = json.loads(out)
         assert (payload["k"], payload["R"]) == (2, [[1, 0], [0, 1]])
         assert payload["global_phase"] == [1.0, 0.0]
+
+    @pytest.mark.parametrize("diag, entry", [
+        ("[true,true]", "entry 0 (true)"),
+        ('["1","1"]', 'entry 0 ("1")'),
+        ('[[1,0,9],[1,0,"x"]]', "entry 0 ([1, 0, 9])"),
+        ("[[1,0],[false,true]]", "entry 1 ([false, true])"),
+        ("[[1,0],[true,true]]", "entry 1 ([true, true])"),
+        ("[[1,0],[1]]", "entry 1 ([1])"),
+    ])
+    def test_complex_diagonal_rejects_non_numbers(self, capsys, diag, entry):
+        code, out, err = run(capsys, "synth", f'{{"diagonal":{diag}}}')
+        assert code == 1 and out == ""
+        assert f"diagonal {entry} is not a real number or an [re, im] pair" in err
 
     def test_malformed_inputs(self, capsys):
         code, _, err = run(capsys, "synth", "{bad json")

@@ -184,18 +184,19 @@ def test_diagonal_level_guards():
         oracle.diagonal_levels([[0, 1]], 0)
 
 
-def _densify(mono, K):
-    rows, theta = mono
-    out = np.zeros((len(rows), len(rows)), dtype=complex)
-    out[rows, np.arange(len(rows))] = np.exp(2j * np.pi * theta / (1 << K))
-    return out
-
-
 def _labels(m, rng):
     """Every binary label at m, then 20 random integer labels, entries in [0, 4)."""
     V = index_vectors(m)
     binary = [PauliLabel(a, b) for a in V for b in V]
     return binary + [PauliLabel(rng.integers(0, 4, m), rng.integers(0, 4, m)) for _ in range(20)]
+
+
+def _kron_pauli(p):
+    """i^(a.b) X^a1 Z^b1 (x) ... (x) X^am Z^bm, as Kronecker products."""
+    out = np.eye(1, dtype=complex)
+    for ai, bi in zip(p.a, p.b):
+        out = np.kron(out, np.linalg.matrix_power(X, ai) @ np.linalg.matrix_power(Z, bi))
+    return 1j ** int(p.a @ p.b % 4) * out
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -205,7 +206,7 @@ def test_monomial_pauli_matches_dense(m):
     for K in (2, 3, 5):
         for p in labels:
             mono = oracle.monomial_pauli(p.a, p.b, K)
-            assert np.allclose(_densify(mono, K), oracle.dense_pauli(p), atol=1e-12)
+            assert np.allclose(oracle.dense_monomial(mono, K), _kron_pauli(p), atol=1e-12)
         rows, theta = oracle.monomial_pauli(np.array([p.a for p in labels]),
                                             np.array([p.b for p in labels]), K)
         for i, p in enumerate(labels):
@@ -221,7 +222,8 @@ def test_monomial_diagonal_matches_dense(k):
             form = random_canonical_form(rng, m, k)
             for K in (max(k, 2), k + 2):
                 mono = oracle.monomial_diagonal(form, K)
-                assert np.allclose(_densify(mono, K), oracle.dense_diagonal(form), atol=1e-12)
+                assert np.allclose(oracle.dense_monomial(mono, K), oracle.dense_diagonal(form),
+                                   atol=1e-12)
 
 
 def test_monomial_product_matches_dense():
@@ -235,8 +237,10 @@ def test_monomial_product_matches_dense():
                          oracle.monomial_diagonal(f, k), oracle.monomial_diagonal(g, k)]
                 for x in monos:
                     for y in monos:
-                        assert np.allclose(_densify(oracle.monomial_product(x, y, k), k),
-                                           _densify(x, k) @ _densify(y, k), atol=1e-12)
+                        product = oracle.monomial_product(x, y, k)
+                        assert np.allclose(oracle.dense_monomial(product, k),
+                                           oracle.dense_monomial(x, k)
+                                           @ oracle.dense_monomial(y, k), atol=1e-12)
             # a stack of Paulis on either side of one diagonal, and two stacks
             labels = _labels(m, rng)
             stack = oracle.monomial_pauli(np.array([p.a for p in labels]),
@@ -246,8 +250,9 @@ def test_monomial_product_matches_dense():
                 rows, theta = oracle.monomial_product(left, right, k)
                 for i in range(len(labels)):
                     pick = [(r[i], t[i]) if r.ndim == 2 else (r, t) for r, t in (left, right)]
-                    assert np.allclose(_densify((rows[i], theta[i]), k),
-                                       _densify(pick[0], k) @ _densify(pick[1], k), atol=1e-12)
+                    assert np.allclose(oracle.dense_monomial((rows[i], theta[i]), k),
+                                       oracle.dense_monomial(pick[0], k)
+                                       @ oracle.dense_monomial(pick[1], k), atol=1e-12)
 
 
 def test_pauli_multiplication_law_dense():

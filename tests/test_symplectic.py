@@ -19,7 +19,6 @@ from symdiag.symplectic import (
     omega,
     partial_hadamard_generator,
     phase_generator,
-    table1_generators,
 )
 
 CNOT = np.array([[1, 1], [0, 1]])
@@ -150,7 +149,8 @@ class TestGenerators:
         assert np.allclose(oracle.dense_unitary(trivial), np.eye(4))
 
     def test_table_emits_four_symplectic_pairs(self):
-        gens = table1_generators(2, Q=CNOT, R=np.array([[1, 1], [1, 0]]), t=1)
+        gens = [hadamard_generator(2), basis_change_generator(CNOT),
+                phase_generator(np.array([[1, 1], [1, 0]])), partial_hadamard_generator(2, 1)]
         assert [g.kind for g in gens] == ["H", "L_Q", "T_R", "partialH"]
         for gen in gens:
             assert is_binary_symplectic(gen.F)
@@ -169,7 +169,8 @@ class TestGenerators:
             clifford_conjugate(hadamard_generator(1), PauliLabel((2,), (0,)))
 
     def test_generator_json_round_trip(self):
-        for gen in table1_generators(2, Q=CNOT, R=np.array([[1, 0], [0, 1]]), t=1):
+        for gen in (hadamard_generator(2), basis_change_generator(CNOT),
+                    phase_generator(np.array([[1, 0], [0, 1]])), partial_hadamard_generator(2, 1)):
             rebuilt = generator_from_dict(2, gen.to_dict())
             assert np.array_equal(rebuilt.F, gen.F)
             assert np.allclose(oracle.dense_unitary(rebuilt), oracle.dense_unitary(gen))
