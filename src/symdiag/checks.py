@@ -2,12 +2,13 @@
 
 Each check returns a CheckResult; the CLI `verify` subcommand and the test
 suite both drive these.  Every check is a generator of cases run by one
-policy, _first_failure: a case is (count, deviation, detail), `checked`
-adds up the counts (1 per case, or the basis states a case covers),
-`max_deviation` is the largest deviation seen, and the run stops at the
-first case whose deviation exceeds the tolerance, reporting its detail.
-The detail is a thunk, called only for that failing case.  All
-identities are exact: every check that `verify` runs compares integers
+policy, _first_failure: a case is (count, deviation, detail thunk),
+`checked` adds up the counts (1 per case, or the basis states a case
+covers), `max_deviation` is the largest deviation seen, and the run stops
+at the first case whose deviation exceeds the tolerance, calling only its
+detail.  A check evaluates the labels of a form or a draw on stacks (a
+residual-exponent table, a monomial stack), yielding a case per label.
+All identities are exact: every check that `verify` runs compares integers
 (modular, level or monomial), with tolerance 0 and deviation 1.0 on a
 mismatch (its largest residue for the mod-4 check).  clifford-signs is
 the only dense check, because H is not monomial: it compares complex
@@ -16,6 +17,7 @@ matrices entrywise within oracle.ATOL.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,14 +33,14 @@ from .diagonal import (
     group_add,
     group_negate,
     group_order,
-    index_vectors,
     residual_exponent_list,
+    residual_exponent_table,
     xor_carry,
 )
 from .oracle import (
     ATOL,
+    _basis_vectors,
     conjugate_dense,
-    dense_exponents,
     dense_pauli,
     dense_unitary,
     diagonal_levels,
@@ -87,10 +89,6 @@ def _first_failure(name: str, cases, tol: float = 0.0) -> CheckResult:
     return CheckResult(name, True, checked, max_dev)
 
 
-def _deviation(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    return float(np.max(np.abs(lhs - rhs)))
-
-
 def random_canonical_form(rng: np.random.Generator, m: int, k: int) -> SymForm:
     mat = np.zeros((m, m), dtype=np.int64)
     for i in range(m):
@@ -104,9 +102,11 @@ def random_int_vector(rng: np.random.Generator, m: int, layers: int = 2) -> np.n
     return rng.integers(0, 1 << layers, size=m, dtype=np.int64)
 
 
-def _binary_labels(m: int) -> list[PauliLabel]:
-    V = index_vectors(m)
-    return [PauliLabel(a, b) for a in V for b in V]
+@functools.cache
+def _binary_labels(m: int) -> tuple[PauliLabel, ...]:
+    """All 4^m binary labels, built once per m <= oracle.MAX_DENSE_QUBITS."""
+    V = _basis_vectors(m)
+    return tuple(PauliLabel(a, b) for a in V for b in V)
 
 
 def reconstruct(form: SymForm, labels, flip_phase: bool = False) -> np.ndarray:
@@ -116,8 +116,7 @@ def reconstruct(form: SymForm, labels, flip_phase: bool = False) -> np.ndarray:
     steps = [conjugate(form, p) for p in labels]
     paulis = monomial_pauli(np.array([s.label.a for s in steps]),
                             np.array([s.label.b for s in steps]), K)
-    diagonals = [np.array(c) for c in zip(*(monomial_diagonal(s.residual, K) for s in steps))]
-    rows, theta = monomial_product(paulis, diagonals, K)
+    rows, theta = monomial_product(paulis, monomial_diagonal([s.residual for s in steps], K), K)
     phi = np.array([s.phase_exponent for s in steps]) * (-1 if flip_phase else 1)
     return np.stack((rows, (theta + (phi << (K - form.k))[:, None]) % (1 << K)), axis=1)
 
@@ -130,14 +129,16 @@ def check_conjugation_exactness(
     labels of a form at once: D E(p) D^dagger by index arithmetic."""
     labels = _binary_labels(m)
     K = max(k, 2)
+    monomials = np.stack(monomial_pauli(np.array([p.a for p in labels]),  # once per check
+                                        np.array([p.b for p in labels]), K))
 
     def cases():
         for _ in range(samples):
             form = random_canonical_form(rng, m, k)
-            use = labels if exhaustive_paulis else [
-                labels[rng.integers(len(labels))] for _ in range(4)]
-            rows, theta = monomial_diagonal(form, K)
-            paulis = monomial_pauli(np.array([p.a for p in use]), np.array([p.b for p in use]), K)
+            pick = range(len(labels)) if exhaustive_paulis else [
+                rng.integers(len(labels)) for _ in range(4)]
+            use, paulis = [labels[i] for i in pick], monomials[:, pick]
+            (rows,), (theta,) = monomial_diagonal([form], K)
             lhs = np.stack(monomial_product((rows, theta), monomial_product(
                 paulis, (rows, -theta), K), K), axis=1)
             bad = (lhs != reconstruct(form, use, flip_phase)).any(axis=(1, 2))
@@ -181,9 +182,9 @@ def check_level2_exponents_vanish(m: int) -> CheckResult:
 
     def cases():
         for form in enumerate_canonical_forms(m, 2):
-            for p in labels:
-                vals = residual_exponent_list(form, p)
-                yield len(vals), float(np.max(vals % 4)), lambda: {
+            table = residual_exponent_table(form, labels)
+            for p, dev in zip(labels, np.max(table % 4, axis=1)):
+                yield table.shape[1], float(dev), lambda: {
                     "R": form.entries.tolist(), **p.to_dict()}
 
     return _first_failure(f"level2-exponents-vanish(m={m})", cases())
@@ -207,14 +208,13 @@ def _shift_additivity_cases(samples, rng, m, k, carry_free):
         if carry_free and (np.any(a0 * c0) or np.any(b0 * d0)):
             continue
         drawn += 1
-        qa = residual_exponent_list(form, PauliLabel(a, b))
-        qc = residual_exponent_list(form, PauliLabel(c, d))
+        qa, qc, qac = residual_exponent_table(
+            form, [PauliLabel(a, b), PauliLabel(c, d), PauliLabel(a + c, b + d)])
         lhs = (_shifted(qa, c0) + qc) % M
         a1, b1 = (a >> 1) & 1, (b >> 1) & 1
         c1, d1 = (c >> 1) & 1, (d >> 1) & 1
         cross = int(b0 @ c1) + int(b1 @ c0) - int(a0 @ d1) - int(a1 @ d0)
         carry = int((a0 + c0) @ (b0 * d0)) + int((b0 + d0) @ (a0 * c0))
-        qac = residual_exponent_list(form, PauliLabel(a + c, b + d))
         rhs = (qac + (1 << (k - 1)) * (cross + carry)) % M
         ok = np.all(lhs == rhs) and (carry_free or np.all(lhs == (qa + _shifted(qc, a0)) % M))
         yield 1, float(not ok), lambda: {
@@ -258,9 +258,8 @@ def check_shift_difference_symmetry(
             a, b = random_int_vector(rng, m), random_int_vector(rng, m)
             c = rng.integers(0, 2, size=m, dtype=np.int64)
             a0 = a & 1
-            qa = residual_exponent_list(form, PauliLabel(a, b))
-            qa0 = residual_exponent_list(form, PauliLabel(a0, zero))
-            qc = residual_exponent_list(form, PauliLabel(c, zero))
+            qa, qa0, qc = residual_exponent_table(
+                form, [PauliLabel(a, b), PauliLabel(a0, zero), PauliLabel(c, zero)])
             delta_ac = (_shifted(qa, c) - qa) % M
             delta_a0c = (_shifted(qa0, c) - qa0) % M
             delta_ca = (_shifted(qc, a0) - qc) % M
@@ -312,7 +311,7 @@ def check_sandwich_product_identity(
             c0, d0 = c & 1, d & 1
             _, e = apply_gamma(PauliLabel(a0, b0), form)
             _, f = apply_gamma(PauliLabel(c0, d0), form)
-            rows, theta = monomial_diagonal(form, K)
+            (rows,), (theta,) = monomial_diagonal([form], K)
             # stacks of monomials, indexed [rows or theta, operator, column]
             paulis = np.stack(monomial_pauli(np.array([a, c, a0, c0]), np.array([b, d, e, f]), K))
             # C_ab = D E(a, b) D^dagger and C_cd = D E(c, d) D^dagger
@@ -390,7 +389,8 @@ def check_clifford_signs(m: int, rng: np.random.Generator) -> CheckResult:
             u = dense_unitary(gen)
             for label in _binary_labels(m):
                 sign, new = clifford_conjugate(gen, label)
-                dev = _deviation(conjugate_dense(u, dense_pauli(label)), sign * dense_pauli(new))
+                dev = float(np.max(np.abs(conjugate_dense(u, dense_pauli(label))
+                                          - sign * dense_pauli(new))))
                 dev = max(dev, float(new != apply_symplectic(label, gen.F)))
                 yield 1, dev, lambda: {**gen.to_dict(), **label.to_dict()}
 
@@ -401,9 +401,10 @@ def check_hierarchy_membership(m: int, k: int) -> CheckResult:
     """Every canonical form at (m, k) builds a gate whose level, decided by
     the oracle's shift-difference recursion on its own exponent list
     (oracle.diagonal_levels, one call for all forms), equals the
-    closed-form form_level read off its entries."""
+    closed-form form_level read off its entries; the lists are the theta
+    rows of the forms' monomials at K = k."""
     forms = list(enumerate_canonical_forms(m, k))
-    levels = diagonal_levels(np.array([dense_exponents(f) for f in forms]), k)
+    levels = diagonal_levels(monomial_diagonal(forms, k)[1], k)
 
     def cases():
         for form, level in zip(forms, levels):

@@ -330,7 +330,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CLIError, ValueError, KeyError, TypeError, IndexError) as exc:
+    except (CLIError, ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,6 +16,7 @@ conjugation functions check only that a label and a form share m.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -153,6 +154,18 @@ def index_vectors(m: int) -> np.ndarray:
     return (idx[:, None] >> shifts[None, :]) & 1
 
 
+#: the dense oracle's qubit guard, up to which basis tables are shared
+MAX_DENSE_QUBITS = 4
+
+
+@functools.cache
+def _basis_table(m: int) -> np.ndarray:
+    """Read-only index_vectors(m), one shared table per m <= MAX_DENSE_QUBITS."""
+    V = index_vectors(m)
+    V.flags.writeable = False
+    return V
+
+
 def basis_index(v) -> int:
     """Big-endian index of a binary vector: v_1 is the most significant bit."""
     v = ring.as_bit_vector(v)
@@ -226,27 +239,30 @@ def _layers(form: SymForm, p: PauliLabel):
     return p.a & 1, (p.a >> 1) & 1, p.b & 1, (p.b >> 1) & 1
 
 
-def _residual_exponents(V: np.ndarray, form: SymForm, p: PauliLabel) -> np.ndarray:
-    """Residual exponents at the basis rows of V (levels k >= 2).
+def residual_exponent_table(form: SymForm, labels, V: np.ndarray | None = None) -> np.ndarray:
+    """Exponents of the residual diagonal of E(p), one row per label p, in
+    one broadcast (levels k >= 2), at the basis rows of V: by default all
+    basis vectors in index order, from a table shared up to MAX_DENSE_QUBITS.
 
     The constant part is the global phase exponent; the row-dependent part
     (2 + 2^(k-1)) v R a0 - 4 (v OR a0) R (v AND a0) is twice a quadratic
     form one level down.
     """
+    if V is None:
+        V = _basis_table(form.m) if form.m <= MAX_DENSE_QUBITS else index_vectors(form.m)
     k = form.k
-    phi = global_phase_exponent(form, p)
-    a0 = p.a & 1
+    phi = np.array([global_phase_exponent(form, p) for p in labels], dtype=np.int64)
+    a0 = np.array([p.a & 1 for p in labels], dtype=np.int64).reshape(len(labels), 1, form.m)
     R = form.entries
     meet = V * a0
-    carry = np.einsum("ij,jk,ik->i", V + a0 - meet, R, meet)
-    vals = phi + (2 + (1 << (k - 1))) * (V @ (R @ a0)) - 4 * carry
+    carry = np.einsum("nij,jk,nik->ni", V + a0 - meet, R, meet)
+    vals = phi[:, None] + (2 + (1 << (k - 1))) * (a0[:, 0] @ R @ V.T) - 4 * carry
     return vals % ring.modulus(k)
 
 
 def residual_exponent_list(form: SymForm, p: PauliLabel) -> np.ndarray:
-    """Exponents of the residual diagonal after conjugating E(p), over all
-    basis vectors in index order."""
-    return _residual_exponents(index_vectors(form.m), form, p)
+    """The one-label row of residual_exponent_table."""
+    return residual_exponent_table(form, [p])[0]
 
 
 def global_phase_exponent(form: SymForm, p: PauliLabel) -> int:
@@ -429,9 +445,7 @@ def enumerate_canonical_forms(m: int, k: int):
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     for diag in itertools.product(range(1 << k), repeat=m):
         for off in itertools.product(range(1 << (k - 1)), repeat=len(pairs)):
-            mat = np.zeros((m, m), dtype=np.int64)
-            for i in range(m):
-                mat[i, i] = diag[i]
+            mat = np.diag(np.array(diag, dtype=np.int64))
             for (i, j), val in zip(pairs, off):
                 mat[i, j] = mat[j, i] = val
             yield SymForm(mat, k)

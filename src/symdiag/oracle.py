@@ -24,14 +24,12 @@ import math
 import numpy as np
 
 from . import ring
-from .diagonal import SymForm, index_vectors
+from .diagonal import MAX_DENSE_QUBITS, SymForm, _basis_table
 from .pauli import PauliLabel
 
 #: tolerance of the dense comparisons (Clifford signs, dense levels, the tracker replay)
 ATOL = 1e-8
 
-#: cost guard for generic dense construction
-MAX_DENSE_QUBITS = 4
 #: cost guard for the hierarchy level decision
 MAX_LEVEL_QUBITS = 2
 #: highest level the generator recursion of hierarchy_level decides exactly
@@ -46,10 +44,8 @@ def _check_dense_m(m: int, guard: int = MAX_DENSE_QUBITS) -> int:
 
 @functools.cache
 def _basis_vectors(m: int) -> np.ndarray:
-    """Read-only index_vectors(m), built once per m <= MAX_DENSE_QUBITS."""
-    V = index_vectors(_check_dense_m(m))
-    V.flags.writeable = False
-    return V
+    """Read-only index_vectors(m), the table diagonal shares, for m <= MAX_DENSE_QUBITS."""
+    return _basis_table(_check_dense_m(m))
 
 
 @functools.cache
@@ -95,19 +91,22 @@ def monomial_pauli(a, b, K: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, theta % (1 << K)
 
 
-def monomial_diagonal(form: SymForm, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Monomial of the level-k gate of form, k <= K: identity rows and
-    theta = 2^(K-k) e for the exponent list e of dense_exponents."""
-    e = dense_exponents(form)
-    return np.arange(e.size), e << (K - form.k)
+def monomial_diagonal(forms, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Monomials of the level-k gates of forms that share (m, k), k <= K:
+    one row each of identity rows and theta = 2^(K-k) e, for the exponent
+    lists e = [v R v^T mod 2^k] of all forms in one einsum."""
+    (m, k), = {(f.m, f.k) for f in forms}  # ValueError unless exactly one
+    V = _basis_vectors(m)
+    e = np.einsum("vi,nij,vj->nv", V, np.array([f.entries for f in forms]), V)
+    return np.broadcast_to(np.arange(1 << m), e.shape), (e % ring.modulus(k)) << (K - k)
 
 
 def monomial_product(x, y, K: int) -> tuple[np.ndarray, np.ndarray]:
     """(r1, t1)(r2, t2) = (r1[r2], t2 + t1[r2]) mod 2^K; on stacks of
     monomials, one per row, row by row (a single monomial broadcasts)."""
     (r1, t1), (r2, t2) = x, y
-    r1, t1, r2 = np.broadcast_arrays(r1, t1, r2)
-    return np.take_along_axis(r1, r2, -1), (t2 + np.take_along_axis(t1, r2, -1)) % (1 << K)
+    at = (np.arange(len(r1))[:, None], r2) if r1.ndim == 2 else r2
+    return r1[at], (t2 + t1[at]) % (1 << K)
 
 
 def _is_z_type(d: np.ndarray, half: int) -> bool:

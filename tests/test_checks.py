@@ -75,9 +75,9 @@ def _times_i(orig):
 
 
 def _residual_scaled_one_level_up(orig):
-    """The residual, the one form below level K, scaled by 2^(K-k) in place
+    """The residuals, the forms below level K, scaled by 2^(K-k) in place
     of 2^(K-k+1)."""
-    return lambda form, K: orig(form, K - (form.k < K))
+    return lambda forms, K: orig(forms, K - (forms[0].k < K))
 
 
 def _sign_flipped_product(orig):
@@ -88,7 +88,9 @@ def _sign_flipped_product(orig):
 
 
 def _plus(offset):
-    return lambda orig: lambda form, p: orig(form, p) + offset(len(orig(form, p)))
+    """offset(2^m) added to every exponent row."""
+    return lambda orig: lambda form, labels: orig(form, labels) + offset(
+        orig(form, labels).shape[-1])
 
 
 def _valuation_off_by_one(orig):
@@ -120,14 +122,14 @@ FAULTS = [
      _residual_scaled_one_level_up, "conjugation-exactness(m=2,k=3)", 5, {"R", "a", "b"}),
     (lambda: checks.check_xor_quadratic_identity(5, _rng(1)), ring, "xor_as_ring",
      lambda orig: lambda v, w, k: v + w, "xor-quadratic-identity", 1, {"v", "w", "R"}),
-    (lambda: checks.check_level2_exponents_vanish(2), checks, "residual_exponent_list",
+    (lambda: checks.check_level2_exponents_vanish(2), checks, "residual_exponent_table",
      _plus(lambda n: 1), "level2-exponents-vanish(m=2)", 4, {"R", "a", "b"}),
-    (lambda: checks.check_exponent_shift_additivity(5, _rng()), checks, "residual_exponent_list",
+    (lambda: checks.check_exponent_shift_additivity(5, _rng()), checks, "residual_exponent_table",
      _plus(lambda n: 1), "exponent-shift-additivity", 1, {"R", "a", "b", "c", "d"}),
     (lambda: checks.check_exponent_shift_additivity_carry_free(5, _rng()), checks,
-     "residual_exponent_list", _plus(lambda n: 1), "exponent-shift-additivity-carry-free", 1,
+     "residual_exponent_table", _plus(lambda n: 1), "exponent-shift-additivity-carry-free", 1,
      {"R", "a", "b", "c", "d"}),
-    (lambda: checks.check_shift_difference_symmetry(5, _rng(0)), checks, "residual_exponent_list",
+    (lambda: checks.check_shift_difference_symmetry(5, _rng(0)), checks, "residual_exponent_table",
      _plus(np.arange), "shift-difference-symmetry", 1, {"R", "a", "c"}),
     (lambda: checks.check_exponent_conjugation_shift(5, _rng()), checks, "monomial_pauli",
      _times_i, "exponent-conjugation-shift", 1, {"R", "e", "f"}),

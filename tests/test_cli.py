@@ -97,6 +97,15 @@ class TestSynth:
         assert code == 1 and out == ""
         assert f"diagonal {entry} is not a real number or an [re, im] pair" in err
 
+    @pytest.mark.parametrize("entry", [str(10**400), f"[0, -{10**400}]"])
+    def test_complex_diagonal_beyond_float_range(self, capsys, entry):
+        # an error line, as the exponents field gives for the same integer
+        code, out, err = run(capsys, "synth", f'{{"diagonal":[1, {entry}]}}')
+        assert (code, out) == (1, "")
+        assert err == "error: int too large to convert to float\n"
+        code, _, err = run(capsys, "synth", f'{{"k":1,"exponents":[0, {10**400}]}}')
+        assert code == 1 and "integer outside the int64 range" in err
+
     def test_malformed_inputs(self, capsys):
         code, _, err = run(capsys, "synth", "{bad json")
         assert code == 1 and "error" in err

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from symdiag import diagonal, oracle, ring
 from symdiag.checks import random_canonical_form
@@ -20,6 +22,7 @@ from symdiag.diagonal import (
     group_order,
     index_vectors,
     residual_exponent_list,
+    residual_exponent_table,
     residual_form,
     standard_gate_table,
     synthesize,
@@ -242,7 +245,37 @@ def _random_residual_cases(m, forms_per_level):
             yield form, p, rng.integers(0, 2, size=(8, m))
 
 
+@st.composite
+def residual_tables(draw):
+    """A form at m 1-4, k 2-6, and 1-5 labels with live second layers."""
+    m, k = draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    flat = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=m * m, max_size=m * m))
+    upper = np.triu(np.array(flat, dtype=np.int64).reshape(m, m))
+    vec = st.lists(st.integers(0, 3), min_size=m, max_size=m)
+    labels = draw(st.lists(st.builds(PauliLabel, vec, vec), min_size=1, max_size=5))
+    return SymForm(upper + np.triu(upper, 1).T, k), labels
+
+
 class TestResidualExponent:
+    @given(residual_tables())
+    def test_table_rows_are_one_label_rows_and_residual_forms(self, case):
+        # each row of the one-broadcast table is that label's one-label list,
+        # and phi + 2 v R' v^T with R' from residual_form
+        form, labels = case
+        V = index_vectors(form.m)
+        table = residual_exponent_table(form, labels)
+        assert table.shape == (len(labels), 1 << form.m)
+        for p, row in zip(labels, table):
+            assert np.array_equal(row, residual_exponent_list(form, p))
+            R_next = residual_form(form, p).entries
+            quad = np.einsum("vi,ij,vj->v", V, R_next, V)
+            assert np.array_equal(row, (global_phase_exponent(form, p) + 2 * quad) % (1 << form.k))
+
+    def test_table_checks_every_label(self):
+        labels = [PauliLabel((1, 0), (0, 1)), X1]
+        with pytest.raises(ValueError, match="^dimension mismatch: Pauli on 1, form on 2$"):
+            residual_exponent_table(CZ_FORM, labels)
+
     def test_level2_always_vanishes_mod4(self):
         for form in enumerate_canonical_forms(2, 2):
             for a in range(4):
@@ -281,7 +314,7 @@ class TestResidualExponent:
             phi = global_phase_exponent(form, p)
             R_next = residual_form(form, p).entries
             vs = np.asarray(vs)
-            rows = diagonal._residual_exponents(vs, form, p)
+            rows = residual_exponent_table(form, [p], vs)[0]
             for v, got in zip(vs, rows):
                 assert got == (phi + 2 * int(v @ R_next @ v)) % (1 << form.k)
 

@@ -214,16 +214,29 @@ def test_monomial_pauli_matches_dense(m):
             assert np.array_equal(rows[i], one[0]) and np.array_equal(theta[i], one[1])
 
 
+def _one_diagonal(form, K):
+    (rows,), (theta,) = oracle.monomial_diagonal([form], K)
+    return rows, theta
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_monomial_diagonal_matches_dense(k):
+    # a stack of forms sharing (m, k), one einsum: identity rows, and each
+    # theta row is that form's gate, exactly as dense_exponents reads it
     rng = np.random.default_rng(10 + k)
     for m in (1, 2, 3):
-        for _ in range(5):
-            form = random_canonical_form(rng, m, k)
-            for K in (max(k, 2), k + 2):
-                mono = oracle.monomial_diagonal(form, K)
-                assert np.allclose(oracle.dense_monomial(mono, K), oracle.dense_diagonal(form),
-                                   atol=1e-12)
+        forms = [random_canonical_form(rng, m, k) for _ in range(5)]
+        for K in (max(k, 2), k + 2):
+            rows, theta = oracle.monomial_diagonal(forms, K)
+            for form, r, t in zip(forms, rows, theta):
+                assert np.array_equal(r, np.arange(1 << m))
+                assert np.array_equal(t, oracle.dense_exponents(form) << (K - k))
+                assert np.allclose(oracle.dense_monomial((r, t), K),
+                                   oracle.dense_diagonal(form), atol=1e-12)
+    for mixed in ([SymForm.zeros(1, k), SymForm.zeros(2, k)], [forms[0], SymForm.zeros(3, k + 1)],
+                  []):
+        with pytest.raises(ValueError):
+            oracle.monomial_diagonal(mixed, k + 1)
 
 
 def test_monomial_product_matches_dense():
@@ -234,19 +247,22 @@ def test_monomial_product_matches_dense():
                 f, g = random_canonical_form(rng, m, k), random_canonical_form(rng, m, k - 1)
                 p, q = _labels(m, rng)[-2:]
                 monos = [oracle.monomial_pauli(p.a, p.b, k), oracle.monomial_pauli(q.a, q.b, k),
-                         oracle.monomial_diagonal(f, k), oracle.monomial_diagonal(g, k)]
+                         _one_diagonal(f, k), _one_diagonal(g, k)]
                 for x in monos:
                     for y in monos:
                         product = oracle.monomial_product(x, y, k)
                         assert np.allclose(oracle.dense_monomial(product, k),
                                            oracle.dense_monomial(x, k)
                                            @ oracle.dense_monomial(y, k), atol=1e-12)
-            # a stack of Paulis on either side of one diagonal, and two stacks
+            # a stack of Paulis on either side of one diagonal, two stacks, and
+            # a stack of Paulis on either side of a stack of diagonals
             labels = _labels(m, rng)
             stack = oracle.monomial_pauli(np.array([p.a for p in labels]),
                                           np.array([p.b for p in labels]), k)
-            d = oracle.monomial_diagonal(f, k)
-            for left, right in ((d, stack), (stack, d), (stack, tuple(x[::-1] for x in stack))):
+            d = _one_diagonal(f, k)
+            ds = oracle.monomial_diagonal([random_canonical_form(rng, m, k) for _ in labels], k)
+            for left, right in ((d, stack), (stack, d), (stack, tuple(x[::-1] for x in stack)),
+                                (ds, stack), (stack, ds)):
                 rows, theta = oracle.monomial_product(left, right, k)
                 for i in range(len(labels)):
                     pick = [(r[i], t[i]) if r.ndim == 2 else (r, t) for r, t in (left, right)]

@@ -105,13 +105,17 @@ def test_dicts_are_plain_json():
     assert set(json.loads(json.dumps(failed.detail))) == {"R", "a", "b"}
 
 
-def test_dense_oracle_tables_are_read_only_and_built_once():
-    from symdiag import oracle
+def test_dense_oracle_tables_are_read_only_and_built_once(monkeypatch):
+    from symdiag import diagonal, oracle
 
     for m in range(1, oracle.MAX_DENSE_QUBITS + 1):
         table = oracle._basis_vectors(m)
-        assert table is oracle._basis_vectors(m)
+        assert table is oracle._basis_vectors(m) is diagonal._basis_table(m)
         assert not table.flags.writeable
+    # above the guard the residual exponents build their table afresh
+    monkeypatch.setattr(diagonal, "_basis_table", None)
+    form = SymForm(np.eye(5, dtype=np.int64), 3)
+    assert diagonal.residual_exponent_list(form, PauliLabel([1] * 5, [0] * 5)).shape == (32,)
     gens = oracle._hierarchy_generators(2)
     assert gens is oracle._hierarchy_generators(2)
     assert len(gens) == 4 and not any(g.flags.writeable for g in gens)

@@ -303,6 +303,9 @@ def test_symbolic_circuit_at_scale_matches_its_blocks(m):
 def test_cnot_relabel_at_scale_matches_its_blocks():
     *layers, cnot = _cnot_relabel_circuit(128).layers
     gens = run_circuit(Circuit(128, 3, layers))
+    # an untimed first relabel: under multi-threaded OpenBLAS the process's
+    # first one also pays the BLAS pool's start-up (about 0.5 s of thread time)
+    apply_clifford(gens, cnot)
     start = time.thread_time()
     big = apply_clifford(gens, cnot)
     # 128 relabels Q^-1 R Q^-T in BLAS float64; int64 products, which get
