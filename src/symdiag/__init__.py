@@ -23,7 +23,6 @@ from .diagonal import (
     group_add,
     group_negate,
     group_order,
-    residual_exponent_list,
     residual_form,
     standard_gate_table,
     synthesize,
@@ -37,9 +36,8 @@ from .oracle import (
     dense_unitary,
     equal_up_to_global_phase,
     diagonal_levels,
-    hierarchy_level,
 )
-from .pauli import PauliLabel, PhasedPauli, multiply, symplectic_inner
+from .pauli import PauliLabel, PhasedPauli, multiply
 from .ring import xor_as_ring
 from .symplectic import (
     CliffordGen,
@@ -99,16 +97,13 @@ __all__ = [
     "group_negate",
     "group_order",
     "hadamard_generator",
-    "hierarchy_level",
     "initial_stabilizer",
     "multiply",
     "partial_hadamard_generator",
     "phase_generator",
-    "residual_exponent_list",
     "residual_form",
     "run_circuit",
     "standard_gate_table",
-    "symplectic_inner",
     "synthesize",
     "tensor",
     "verify_against_oracle",

@@ -33,7 +33,6 @@ from .diagonal import (
     group_add,
     group_negate,
     group_order,
-    residual_exponent_list,
     residual_exponent_table,
     xor_carry,
 )
@@ -282,7 +281,7 @@ def check_exponent_conjugation_shift(
             form = random_canonical_form(rng, m, k)
             a, b = random_int_vector(rng, m), random_int_vector(rng, m)
             e, f = random_int_vector(rng, m), random_int_vector(rng, m)
-            vals = residual_exponent_list(form, PauliLabel(a, b))
+            vals = residual_exponent_table(form, [PauliLabel(a, b)])[0]
             ep = monomial_pauli(e, f, K)
             diag = np.arange(len(vals)), vals << (K - k)
             lhs = monomial_product(ep, monomial_product(diag, ep, K), K)

@@ -115,12 +115,14 @@ def cmd_synth(args) -> int:
     out: dict = {}
     k_hint = payload.get("k", 1 if args.k_hint is None else args.k_hint)
     k_hint = int(ring.as_integers(k_hint))
+    if "exponents" in payload and "diagonal" in payload:
+        raise CLIError('synthesis payload takes an "exponents" or a "diagonal" field, not both')
     if "exponents" in payload:
         if "k" not in payload and args.k_hint is None:
             raise CLIError("exponent payload needs a level: a \"k\" field or --k-hint")
         exps = ring.as_integers(payload["exponents"])
-        if len(exps):
-            out["global_phase_exponent"] = int(exps[0]) % (1 << max(k_hint, 1))
+        if exps.size:  # of any shape: synthesize refuses all but a flat list
+            out["global_phase_exponent"] = int(exps.flat[0]) % (1 << max(k_hint, 1))
     elif "diagonal" in payload:
         k_hint, exps, phase0 = _exponents_from_diagonal(payload["diagonal"], k_hint)
         out["global_phase"] = [phase0.real, phase0.imag]
@@ -331,7 +333,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CLIError, ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

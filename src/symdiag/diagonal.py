@@ -260,11 +260,6 @@ def residual_exponent_table(form: SymForm, labels, V: np.ndarray | None = None) 
     return vals % ring.modulus(k)
 
 
-def residual_exponent_list(form: SymForm, p: PauliLabel) -> np.ndarray:
-    """The one-label row of residual_exponent_table."""
-    return residual_exponent_table(form, [p])[0]
-
-
 def global_phase_exponent(form: SymForm, p: PauliLabel) -> int:
     """The v-independent part of the residual exponent of E(p) (levels k >= 2)."""
     k = form.k
@@ -393,6 +388,8 @@ def synthesize(exponents, k_hint: int) -> SymForm:
     level escalation could ever repair it.
     """
     e = ring.as_integers(exponents)
+    if e.ndim != 1:
+        raise ValueError(f"exponents must be a flat list of integers, got shape {e.shape}")
     n = len(e)
     if n < 2 or (n & (n - 1)) != 0:
         raise ValueError(f"exponent list length {n} is not a power of two >= 2")

@@ -9,11 +9,11 @@ diagonal gates and their products are monomial, so identities among them
 are compared exactly, mod 2^K; dense Paulis and dense L_Q are their
 monomials densified by dense_monomial, with entries rounded to about
 1e-16.  ATOL (1e-8, with orders of magnitude of headroom at m <= 4)
-serves only the dense Clifford-sign check, hierarchy_level and the
-tracker's oracle comparison.  diagonal_levels decides hierarchy levels
-of diagonal gates exactly, in integers; the dense hierarchy_level covers
-general unitaries, but only up to level 3 and m <= 2.  The only state
-kept is read-only tables, one per qubit count up to the dense guard.
+serves only equal_up_to_global_phase, the dense Clifford-sign check
+(checks.check_clifford_signs) and the tracker's oracle comparison
+(tracker.verify_against_oracle).  diagonal_levels decides hierarchy
+levels of diagonal gates exactly, in integers.  The only state kept is
+read-only tables, one per qubit count up to the dense guard.
 """
 
 from __future__ import annotations
@@ -27,18 +27,13 @@ from . import ring
 from .diagonal import MAX_DENSE_QUBITS, SymForm, _basis_table
 from .pauli import PauliLabel
 
-#: tolerance of the dense comparisons (Clifford signs, dense levels, the tracker replay)
+#: tolerance of the dense comparisons (global phase, Clifford signs, the tracker replay)
 ATOL = 1e-8
 
-#: cost guard for the hierarchy level decision
-MAX_LEVEL_QUBITS = 2
-#: highest level the generator recursion of hierarchy_level decides exactly
-MAX_EXACT_LEVEL = 3
 
-
-def _check_dense_m(m: int, guard: int = MAX_DENSE_QUBITS) -> int:
-    if m > guard:
-        raise ValueError(f"dense oracle limited to m <= {guard}, got m={m}")
+def _check_dense_m(m: int) -> int:
+    if m > MAX_DENSE_QUBITS:
+        raise ValueError(f"dense oracle limited to m <= {MAX_DENSE_QUBITS}, got m={m}")
     return m
 
 
@@ -191,11 +186,6 @@ def conjugate_dense(u: np.ndarray, p: np.ndarray) -> np.ndarray:
     return u @ p @ u.conj().T
 
 
-def is_unitary(u: np.ndarray, tol: float = ATOL) -> bool:
-    n = u.shape[0]
-    return np.allclose(u @ u.conj().T, np.eye(n), atol=tol)
-
-
 def equal_up_to_global_phase(u: np.ndarray, v: np.ndarray, tol: float = ATOL) -> bool:
     """True iff u = exp(i theta) v for some real theta, to tolerance."""
     if u.shape != v.shape:
@@ -208,67 +198,3 @@ def equal_up_to_global_phase(u: np.ndarray, v: np.ndarray, tol: float = ATOL) ->
     if abs(abs(theta) - 1.0) > tol:
         return False
     return bool(np.allclose(u, theta * v, atol=tol))
-
-
-def pauli_decomposition(u: np.ndarray, tol: float = ATOL):
-    """Decompose u as i^kappa D(a, b) if possible, else None.
-
-    Such a matrix has one nonzero per column, at row v XOR a, with value
-    i^kappa (-1)^(v.b); the candidate (kappa, a, b) is read off the first
-    column and the weight-1 columns, then checked against dense_pauli.
-    """
-    w = _index_weights(u.shape[0].bit_length() - 1)  # the weight-1 columns
-    row = int(np.argmax(np.abs(u[:, 0])))
-    kappa = round(np.angle(u[row, 0]) / (math.pi / 2)) % 4
-    a = (row & w > 0).astype(np.int64)
-    b = (np.real(u[w ^ row, w] * np.conj(u[row, 0])) < 0).astype(np.int64)
-    if np.allclose(u, 1j ** ((kappa - int(a @ b)) % 4) * dense_pauli(PauliLabel(a, b)), atol=tol):
-        return kappa, tuple(a.tolist()), tuple(b.tolist())
-    return None
-
-
-@functools.cache
-def _hierarchy_generators(m: int) -> tuple[np.ndarray, ...]:
-    """Read-only dense X_j and Z_j, built once per m <= MAX_DENSE_QUBITS."""
-    zero = np.zeros(m, dtype=np.int64)
-    gens = []
-    for e in np.eye(m, dtype=np.int64):
-        gens.append(dense_pauli(PauliLabel(e, zero)))
-        gens.append(dense_pauli(PauliLabel(zero, e)))
-    for g in gens:
-        g.flags.writeable = False
-    return tuple(gens)
-
-
-def _in_level(u: np.ndarray, k: int, gens: tuple[np.ndarray, ...], tol: float) -> bool:
-    if k == 1:
-        return pauli_decomposition(u, tol) is not None
-    return all(_in_level(conjugate_dense(u, g), k - 1, gens, tol) for g in gens)
-
-
-def hierarchy_level(u: np.ndarray, max_k: int = MAX_EXACT_LEVEL, tol: float = ATOL):
-    """Smallest level k <= max_k containing u, or None if there is none.
-
-    The reference for general, non-diagonal unitaries; diagonal gates have
-    the exact integer rule diagonal_levels.  Level 1 is a strict Pauli
-    match (i-power times a tensor of X, Z); higher levels recurse through
-    conjugation of the single-qubit X- and Z-type generators, which
-    generate all Paulis.  The recursion through generators alone is exact
-    up to level 3, because level-2 membership forms a group.  Above that
-    it is only a relaxation that can report a level too low, so
-    max_k > MAX_EXACT_LEVEL raises ValueError.
-    """
-    if max_k > MAX_EXACT_LEVEL:
-        raise ValueError(f"max_k={max_k} exceeds {MAX_EXACT_LEVEL}, the highest exact level")
-    n = u.shape[0]
-    m = n.bit_length() - 1
-    if 1 << m != n:
-        raise ValueError(f"operator dimension {n} is not a power of two")
-    _check_dense_m(m, MAX_LEVEL_QUBITS)
-    if not is_unitary(u, tol):
-        raise ValueError("hierarchy level is defined for unitary operators only")
-    gens = _hierarchy_generators(m)
-    for k in range(1, max_k + 1):
-        if _in_level(u, k, gens, tol):
-            return k
-    return None

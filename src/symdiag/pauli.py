@@ -119,10 +119,3 @@ def multiply(p: PauliLabel, q: PauliLabel) -> PhasedPauli:
     out = PauliLabel(a + c, b + d)
     return PhasedPauli(exponent, 2, out)
 
-
-def symplectic_inner(p: PauliLabel, q: PauliLabel) -> int:
-    """Binary symplectic inner product a0.d0 + b0.c0 mod 2."""
-    _require_same_m(p, q)
-    a0, b0 = p.a & 1, p.b & 1
-    c0, d0 = q.a & 1, q.b & 1
-    return int(a0 @ d0 + b0 @ c0) % 2

@@ -38,12 +38,15 @@ def modulus(k: int) -> int:
 def as_integers(x) -> np.ndarray:
     """x as an exact int64 array, refusing bool and non-integral entries.
 
-    Integer-dtype arrays pass on their dtype alone.  Anything else is
-    checked entry by entry: True and 1.7 raise ValueError, while integral
-    floats such as 2.0 (np.eye output, JSON numbers) are accepted.
+    Signed-integer arrays pass on their dtype alone, and unsigned ones
+    once their maximum fits int64.  Anything else is checked entry by
+    entry: True and 1.7 raise ValueError, as does a value outside int64,
+    while integral floats such as 2.0 (np.eye output, JSON numbers) are
+    accepted.
     """
-    if isinstance(x, np.ndarray) and x.dtype.kind in "iu":
-        return x.astype(np.int64, copy=False)
+    if isinstance(x, np.ndarray) and (kind := x.dtype.kind) in "iu":
+        if kind == "i" or not x.size or x.max() <= np.iinfo(np.int64).max:
+            return x.astype(np.int64, copy=False)
     arr = np.asarray(x, dtype=object)
     if not set(map(type, arr.flat)) <= {int, np.int64}:
         for v in arr.flat:

@@ -72,9 +72,9 @@ def apply_gamma(label: PauliLabel, form: SymForm) -> tuple[PauliLabel, np.ndarra
 def gf2_inverse(Q: np.ndarray) -> np.ndarray:
     """Inverse of a binary matrix over GF(2); raises if singular."""
     Q = np.asarray(Q, dtype=np.int64) % 2
-    n = Q.shape[0]
-    if Q.ndim != 2 or Q.shape[1] != n:
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError("expected a square matrix")
+    n = Q.shape[0]
     aug = np.concatenate([Q.copy(), np.eye(n, dtype=np.int64)], axis=1)
     row = 0
     for col in range(n):
@@ -150,8 +150,8 @@ def basis_change_generator(Q) -> CliffordGen:
     qubit permutations.
     """
     Q = ring.as_integers(Q) % 2
-    m = Q.shape[0]
     Qinv = gf2_inverse(Q)
+    m = Q.shape[0]
     F = np.zeros((2 * m, 2 * m), dtype=np.int64)
     F[:m, :m] = Q
     F[m:, m:] = Qinv.T

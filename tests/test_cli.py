@@ -119,6 +119,10 @@ class TestSynth:
         assert code == 1 and "empty" in err
         code, _, err = run(capsys, "synth", '{"k":2}')
         assert code == 1
+        code, _, err = run(capsys, "synth", '{"k":3,"exponents":[[0,1],[1,3]]}')
+        assert code == 1 and "exponents must be a flat list" in err
+        code, _, err = run(capsys, "synth", '{"k":3,"exponents":[0,1],"diagonal":[1,1]}')
+        assert code == 1 and '"exponents" or a "diagonal" field, not both' in err
 
     def test_payload_from_file(self, capsys, tmp_path):
         path = tmp_path / "gate.json"
@@ -188,6 +192,11 @@ class TestConjugate:
             '{"a":[1,0],"b":[0,0]}',
         )
         assert code == 1 and "mismatch" in err
+
+    def test_missing_field_is_named(self, capsys):
+        code, _, err = run(capsys, "conjugate", "--gate", '{"m":1,"k":3,"R":[[1]]}',
+                           "--pauli", '{"a":[1]}')
+        assert code == 1 and err == "error: missing field 'b'\n"
 
 
 class TestTable:

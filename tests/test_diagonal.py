@@ -21,7 +21,6 @@ from symdiag.diagonal import (
     group_negate,
     group_order,
     index_vectors,
-    residual_exponent_list,
     residual_exponent_table,
     residual_form,
     standard_gate_table,
@@ -259,14 +258,14 @@ def residual_tables(draw):
 class TestResidualExponent:
     @given(residual_tables())
     def test_table_rows_are_one_label_rows_and_residual_forms(self, case):
-        # each row of the one-broadcast table is that label's one-label list,
+        # each row of the one-broadcast table is that label's one-label table,
         # and phi + 2 v R' v^T with R' from residual_form
         form, labels = case
         V = index_vectors(form.m)
         table = residual_exponent_table(form, labels)
         assert table.shape == (len(labels), 1 << form.m)
         for p, row in zip(labels, table):
-            assert np.array_equal(row, residual_exponent_list(form, p))
+            assert np.array_equal(row, residual_exponent_table(form, [p])[0])
             R_next = residual_form(form, p).entries
             quad = np.einsum("vi,ij,vj->v", V, R_next, V)
             assert np.array_equal(row, (global_phase_exponent(form, p) + 2 * quad) % (1 << form.k))
@@ -283,26 +282,26 @@ class TestResidualExponent:
                     av = np.array([(a >> 1) & 1, a & 1])
                     bv = np.array([(b >> 1) & 1, b & 1])
                     p = PauliLabel(av, bv)
-                    assert np.all(residual_exponent_list(form, p) % 4 == 0)
+                    assert np.all(residual_exponent_table(form, [p])[0] % 4 == 0)
 
     def test_t_gate_values(self):
-        assert residual_exponent_list(T_FORM, X1)[basis_index([0])] == 7
-        assert residual_exponent_list(T_FORM, X1)[basis_index([1])] == 1
+        row = residual_exponent_table(T_FORM, [X1])[0]
+        assert row[basis_index([0])] == 7 and row[basis_index([1])] == 1
 
     def test_z_type_gives_zero(self):
         form = SymForm(((3, 2), (2, 5)), 4)
-        assert np.all(residual_exponent_list(form, PauliLabel((0, 0), (1, 1))) == 0)
+        assert np.all(residual_exponent_table(form, [PauliLabel((0, 0), (1, 1))]) == 0)
 
     def test_rejects_level_one(self):
         with pytest.raises(ValueError):
-            residual_exponent_list(SymForm(((1,),), 1), X1)[basis_index([0])]
+            residual_exponent_table(SymForm(((1,),), 1), [X1])
 
     @pytest.mark.parametrize("m", ["T", "zero", 3, 64, 256])
     def test_residual_form_exact_at_large_m(self, m):
         # residual exponent == global phase + 2 v R' v^T (mod 2^k): the
         # mask-built residual form against the carry formula, from the T gate
         # on X and a zero form through m=3 to bench sizes, where the dense
-        # sweeps (m <= 3) and residual_exponent_list cannot reach, so the
+        # sweeps (m <= 3) and full basis tables cannot reach, so the
         # carry formula is evaluated on the drawn rows alone
         if m == "T":
             cases = [(T_FORM, X1, [[0], [1]])]
@@ -328,7 +327,7 @@ class TestLabelBoundary:
         "full_recursion_trace": full_recursion_trace,
         "global_phase_exponent": global_phase_exponent,
         "residual_form": residual_form,
-        "residual_exponent_list": lambda form, p: residual_exponent_list(form, p).tolist(),
+        "residual_exponent_list": lambda form, p: residual_exponent_table(form, [p])[0].tolist(),
     }
 
     @pytest.mark.parametrize("name", CALLS)
@@ -516,6 +515,8 @@ class TestSynthesize:
             synthesize([0, 1, 1], 2)
         with pytest.raises(ValueError, match="power of two"):
             synthesize([0], 2)
+        with pytest.raises(ValueError, match="exponents must be a flat list"):
+            synthesize([[0, 1], [1, 3]], 3)
 
     def test_round_trip_exhaustive_small(self):
         for m in (1, 2):

@@ -16,6 +16,7 @@ from symdiag.pauli import PauliLabel, multiply
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]])
 Z = np.diag([1.0, -1.0]).astype(complex)
+T_FORM = SymForm(((1,),), 3)
 
 
 def test_dense_pauli_single_qubit():
@@ -64,62 +65,50 @@ def test_equal_up_to_global_phase():
     assert not oracle.equal_up_to_global_phase(u, p)
 
 
-def test_pauli_decomposition():
-    out = oracle.pauli_decomposition(-1j * np.kron(Z, X))
-    assert out is not None
-    kappa, a, b = out
-    assert (kappa, a, b) == (3, (0, 1), (1, 0))
-    assert oracle.pauli_decomposition(oracle.dense_diagonal(SymForm(((1,),), 3))) is None
+def _dense_level(u):
+    """Smallest Clifford-hierarchy level k <= 3 of a unitary u at m <= 2, or None.
+
+    From the definition: u is at level 1 iff it is a Pauli up to phase
+    (some |tr(P^dagger u)| is 2^m), and at level k iff u g u^dagger is at
+    level k - 1 for each single-qubit X and Z generator g, which decides
+    membership exactly up to level 3, because level 2 is a group.
+    """
+    n = len(u)
+    V = index_vectors(n.bit_length() - 1)
+    paulis = np.array([oracle.dense_pauli(PauliLabel(a, b)) for a in V for b in V])
+    gens = [oracle.dense_pauli(PauliLabel(e * x, e * (1 - x)))
+            for e in np.eye(len(V[0]), dtype=np.int64) for x in (0, 1)]
+
+    def in_level(v, k):
+        if k == 1:
+            return np.abs(np.einsum("pij,ij->p", paulis.conj(), v)).max() > n - 1e-8
+        return all(in_level(oracle.conjugate_dense(v, g), k - 1) for g in gens)
+
+    return next((k for k in (1, 2, 3) if in_level(u, k)), None)
 
 
 def test_hierarchy_level_known_gates():
-    t = oracle.dense_diagonal(SymForm(((1,),), 3))
-    assert oracle.hierarchy_level(t) == 3
-    z = oracle.dense_diagonal(SymForm(((4,),), 3))
-    assert oracle.hierarchy_level(z) == 1
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    assert oracle.hierarchy_level(h) == 2
-    assert oracle.hierarchy_level(np.eye(2, dtype=complex)) == 1
+    assert _dense_level(oracle.dense_diagonal(T_FORM)) == 3
+    assert _dense_level(oracle.dense_diagonal(SymForm(((4,),), 3))) == 1
+    assert _dense_level(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)) == 2
+    assert _dense_level(np.eye(2, dtype=complex)) == 1
 
 
 def test_hierarchy_level_random_forms():
     rng = np.random.default_rng(3)
     for m in (1, 2):
         for _ in range(10):
-            mat = np.zeros((m, m), dtype=np.int64)
-            for i in range(m):
-                mat[i, i] = rng.integers(0, 8)
-                for j in range(i + 1, m):
-                    mat[i, j] = mat[j, i] = rng.integers(0, 4)
-            form = SymForm(mat, 3)
-            level = oracle.hierarchy_level(oracle.dense_diagonal(form), max_k=3)
-            assert level is not None and level <= 3
+            assert _dense_level(oracle.dense_diagonal(random_canonical_form(rng, m, 3))) in (1, 2, 3)
 
 
 def test_hierarchy_level_exhaustive_two_qubits_level_one():
-    from symdiag.diagonal import enumerate_canonical_forms
-
     for form in enumerate_canonical_forms(2, 1):
-        assert oracle.hierarchy_level(oracle.dense_diagonal(form), max_k=1) == 1
-
-
-def test_hierarchy_level_guards():
-    with pytest.raises(ValueError, match="unitary"):
-        oracle.hierarchy_level(np.ones((2, 2), dtype=complex))
-    with pytest.raises(ValueError, match="m <= 2"):
-        oracle.hierarchy_level(np.eye(8, dtype=complex))
-
-
-def test_hierarchy_level_refuses_inexact_levels():
-    t = oracle.dense_diagonal(SymForm(((1,),), 3))
-    with pytest.raises(ValueError, match="max_k=4 exceeds 3"):
-        oracle.hierarchy_level(t, max_k=4)
+        assert _dense_level(oracle.dense_diagonal(form)) == 1
 
 
 def test_hierarchy_level_unknown_for_generic_unitary():
-    theta = 0.3
-    u = np.diag([1.0, np.exp(1j * theta)]).astype(complex)
-    assert oracle.hierarchy_level(u, max_k=3) is None
+    u = np.diag([1.0, np.exp(0.3j)])
+    assert _dense_level(u) is None
 
 
 def test_dense_exponents_match_calculus():
@@ -151,7 +140,7 @@ def test_level_rules_agree_on_all_forms():
     for m in (1, 2):
         for k in (1, 2, 3):
             for form in enumerate_canonical_forms(m, k):
-                dense = oracle.hierarchy_level(oracle.dense_diagonal(form), max_k=3)
+                dense = _dense_level(oracle.dense_diagonal(form))
                 assert oracle.diagonal_levels([oracle.dense_exponents(form)], k) == [dense]
                 assert form_level(form) == dense
                 count += 1
@@ -289,14 +278,13 @@ def test_pauli_multiplication_law_dense():
 
 def test_pauli_closure_spot_check():
     # multiplying a level-3 gate by any Pauli stays at level 3
-    t = oracle.dense_diagonal(SymForm(((1,),), 3))
+    t = oracle.dense_diagonal(T_FORM)
     for c in (0, 1):
         for d in (0, 1):
-            u = oracle.dense_pauli(PauliLabel((c,), (d,))) @ t
-            assert oracle.hierarchy_level(u, max_k=3) == 3
+            assert _dense_level(oracle.dense_pauli(PauliLabel((c,), (d,))) @ t) == 3
 
 
 def test_gate_table_diagonals_are_unitary():
     for _, form in standard_gate_table():
         dense = oracle.dense_diagonal(form)
-        assert oracle.is_unitary(dense, tol=1e-12)
+        assert np.allclose(dense @ dense.conj().T, np.eye(len(dense)), atol=1e-12)

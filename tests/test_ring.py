@@ -23,8 +23,10 @@ def test_as_integers_is_strict():
     for bad in ([1.7], [0, True], [[1], [np.True_]], ["1"]):
         with pytest.raises(ValueError, match="expected an integer"):
             ring.as_integers(bad)
-    with pytest.raises(ValueError, match="int64 range"):
-        ring.as_integers([2**70])
+    for big in ([2**70], np.array([1, 2**63], dtype=np.uint64)):  # uint64 must not wrap
+        with pytest.raises(ValueError, match="integer outside the int64 range"):
+            ring.as_integers(big)
+    assert ring.as_integers(np.array([2**63 - 1], dtype=np.uint64)).tolist() == [2**63 - 1]
 
 
 def test_level_cap():

@@ -20,6 +20,7 @@ from symdiag.symplectic import (
     partial_hadamard_generator,
     phase_generator,
 )
+from symdiag.tracker import circuit_from_dict
 
 CNOT = np.array([[1, 1], [0, 1]])
 
@@ -92,6 +93,14 @@ class TestGF2:
         with pytest.raises(ValueError, match="singular"):
             gf2_inverse(np.array([[1, 1], [1, 1]]))
 
+    def test_non_matrix_rejected(self):
+        # a scalar Q, as in a circuit's L_Q layer with "Q": 1
+        layer = {"type": "clifford", "gen": "L_Q", "params": {"Q": 1}}
+        for call in (gf2_inverse, basis_change_generator,
+                     lambda q: circuit_from_dict({"m": 1, "k": 2, "layers": [layer]})):
+            with pytest.raises(ValueError, match="expected a square matrix"):
+                call(1)
+
     def test_permutation_detection(self):
         assert is_permutation_matrix(np.eye(3, dtype=np.int64))
         assert is_permutation_matrix(np.array([[0, 1], [1, 0]]))
@@ -154,7 +163,8 @@ class TestGenerators:
         assert [g.kind for g in gens] == ["H", "L_Q", "T_R", "partialH"]
         for gen in gens:
             assert is_binary_symplectic(gen.F)
-            assert oracle.is_unitary(oracle.dense_unitary(gen), tol=1e-12)
+            u = oracle.dense_unitary(gen)
+            assert np.allclose(u @ u.conj().T, np.eye(len(u)), atol=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_sign_resolved_conjugation_everywhere(self, m):
