@@ -25,7 +25,6 @@ import numpy as np
 from . import ring
 from .diagonal import (
     SymForm,
-    basis_index,
     conjugate,
     diagonal_entries,
     enumerate_canonical_forms,
@@ -39,6 +38,7 @@ from .diagonal import (
 from .oracle import (
     ATOL,
     _basis_vectors,
+    _index_weights,
     conjugate_dense,
     dense_pauli,
     dense_unitary,
@@ -97,8 +97,8 @@ def random_canonical_form(rng: np.random.Generator, m: int, k: int) -> SymForm:
     return SymForm(mat, k)
 
 
-def random_int_vector(rng: np.random.Generator, m: int, layers: int = 2) -> np.ndarray:
-    return rng.integers(0, 1 << layers, size=m, dtype=np.int64)
+def random_int_vector(rng: np.random.Generator, m: int) -> np.ndarray:
+    return rng.integers(0, 4, size=m, dtype=np.int64)
 
 
 @functools.cache
@@ -110,13 +110,15 @@ def _binary_labels(m: int) -> tuple[PauliLabel, ...]:
 
 def reconstruct(form: SymForm, labels, flip_phase: bool = False) -> np.ndarray:
     """Stacked monomials xi^phi E(label) gate(residual, k-1), K = max(k, 2),
-    of the conjugations of labels; conjugate runs once per label, in order."""
+    of the conjugations of labels; conjugate runs once per label, in order.
+    flip_phase adds 1 to every phase exponent at the form's level, a wrong
+    phase at every k (the verify self-test)."""
     K = max(form.k, 2)
     steps = [conjugate(form, p) for p in labels]
     paulis = monomial_pauli(np.array([s.label.a for s in steps]),
                             np.array([s.label.b for s in steps]), K)
     rows, theta = monomial_product(paulis, monomial_diagonal([s.residual for s in steps], K), K)
-    phi = np.array([s.phase_exponent for s in steps]) * (-1 if flip_phase else 1)
+    phi = np.array([s.phase_exponent for s in steps]) + int(flip_phase)
     return np.stack((rows, (theta + (phi << (K - form.k))[:, None]) % (1 << K)), axis=1)
 
 
@@ -191,7 +193,7 @@ def check_level2_exponents_vanish(m: int) -> CheckResult:
 
 def _shifted(vals: np.ndarray, e0) -> np.ndarray:
     """Exponent list at shifted argument: entry v picks up value at v XOR e0."""
-    return vals[np.arange(len(vals)) ^ basis_index(e0)]
+    return vals[np.arange(len(vals)) ^ (e0 @ _index_weights(len(e0)))]
 
 
 def _shift_additivity_cases(samples, rng, m, k, carry_free):

@@ -33,6 +33,7 @@ from .diagonal import (
     synthesize,
     tensor,
 )
+from .oracle import MAX_DENSE_QUBITS
 from .pauli import PauliLabel
 from .symplectic import gamma_matrix, is_binary_symplectic
 
@@ -210,8 +211,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not 1 <= args.m <= 4:
-        raise CLIError("verification guard: m must be in 1..4")
+    if not 1 <= args.m <= MAX_DENSE_QUBITS:
+        raise CLIError(f"verification guard: m must be in 1..{MAX_DENSE_QUBITS}")
     if args.samples < 1:
         raise CLIError("verification guard: samples must be >= 1")
     try:
@@ -307,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--inject-phase-error",
         action="store_true",
-        help="self-test: flip the phase exponent sign and expect a located failure",
+        help="self-test: add 1 to every phase exponent and expect a located failure",
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)

@@ -16,7 +16,6 @@ conjugation functions check only that a label and a form share m.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -154,27 +153,6 @@ def index_vectors(m: int) -> np.ndarray:
     return (idx[:, None] >> shifts[None, :]) & 1
 
 
-#: the dense oracle's qubit guard, up to which basis tables are shared
-MAX_DENSE_QUBITS = 4
-
-
-@functools.cache
-def _basis_table(m: int) -> np.ndarray:
-    """Read-only index_vectors(m), one shared table per m <= MAX_DENSE_QUBITS."""
-    V = index_vectors(m)
-    V.flags.writeable = False
-    return V
-
-
-def basis_index(v) -> int:
-    """Big-endian index of a binary vector: v_1 is the most significant bit."""
-    v = ring.as_bit_vector(v)
-    out = 0
-    for x in v:
-        out = (out << 1) | int(x)
-    return out
-
-
 def diagonal_entries(form: SymForm) -> np.ndarray:
     """Exponent list [v R v^T mod 2^k] over all basis vectors in index order.
 
@@ -242,14 +220,14 @@ def _layers(form: SymForm, p: PauliLabel):
 def residual_exponent_table(form: SymForm, labels, V: np.ndarray | None = None) -> np.ndarray:
     """Exponents of the residual diagonal of E(p), one row per label p, in
     one broadcast (levels k >= 2), at the basis rows of V: by default all
-    basis vectors in index order, from a table shared up to MAX_DENSE_QUBITS.
+    basis vectors in index order.
 
     The constant part is the global phase exponent; the row-dependent part
     (2 + 2^(k-1)) v R a0 - 4 (v OR a0) R (v AND a0) is twice a quadratic
     form one level down.
     """
     if V is None:
-        V = _basis_table(form.m) if form.m <= MAX_DENSE_QUBITS else index_vectors(form.m)
+        V = index_vectors(form.m)
     k = form.k
     phi = np.array([global_phase_exponent(form, p) for p in labels], dtype=np.int64)
     a0 = np.array([p.a & 1 for p in labels], dtype=np.int64).reshape(len(labels), 1, form.m)

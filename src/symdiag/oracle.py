@@ -12,8 +12,10 @@ monomials densified by dense_monomial, with entries rounded to about
 serves only equal_up_to_global_phase, the dense Clifford-sign check
 (checks.check_clifford_signs) and the tracker's oracle comparison
 (tracker.verify_against_oracle).  diagonal_levels decides hierarchy
-levels of diagonal gates exactly, in integers.  The only state kept is
-read-only tables, one per qubit count up to the dense guard.
+levels of diagonal gates exactly, in integers.  The oracle owns its
+qubit guard, MAX_DENSE_QUBITS, and its only state: read-only tables, one
+per qubit count up to that guard (the basis table _basis_vectors, built
+from diagonal.index_vectors, and the index weights _index_weights).
 """
 
 from __future__ import annotations
@@ -24,11 +26,17 @@ import math
 import numpy as np
 
 from . import ring
-from .diagonal import MAX_DENSE_QUBITS, SymForm, _basis_table
+from .diagonal import SymForm, index_vectors
 from .pauli import PauliLabel
 
 #: tolerance of the dense comparisons (global phase, Clifford signs, the tracker replay)
 ATOL = 1e-8
+
+#: the one-qubit Hadamard, the factor of the dense H and partialH(t)
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+#: the dense oracle's qubit guard, up to which matrices, monomials and tables are built
+MAX_DENSE_QUBITS = 4
 
 
 def _check_dense_m(m: int) -> int:
@@ -39,8 +47,10 @@ def _check_dense_m(m: int) -> int:
 
 @functools.cache
 def _basis_vectors(m: int) -> np.ndarray:
-    """Read-only index_vectors(m), the table diagonal shares, for m <= MAX_DENSE_QUBITS."""
-    return _basis_table(_check_dense_m(m))
+    """Read-only index_vectors(m), one shared table per m <= MAX_DENSE_QUBITS."""
+    V = index_vectors(_check_dense_m(m))
+    V.flags.writeable = False
+    return V
 
 
 @functools.cache
@@ -67,7 +77,7 @@ def dense_pauli(p: PauliLabel) -> np.ndarray:
 
 def dense_exponents(form: SymForm) -> np.ndarray:
     """Exponent list [v R v^T mod 2^k], one einsum over the basis table."""
-    V = _basis_vectors(_check_dense_m(form.m))
+    V = _basis_vectors(form.m)
     return np.einsum("ij,jk,ik->i", V, form.entries, V) % ring.modulus(form.k)
 
 
@@ -151,14 +161,6 @@ def diagonal_levels(table, k: int) -> list[int]:
     return [level(d) for d in (e - e[:, :1]) % M]
 
 
-def _hadamard(m: int) -> np.ndarray:
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    out = np.eye(1, dtype=complex)
-    for _ in range(m):
-        out = np.kron(out, h)
-    return out
-
-
 def dense_unitary(gen) -> np.ndarray:
     """Dense unitary of a Clifford generator, built from its kind and params.
 
@@ -166,11 +168,12 @@ def dense_unitary(gen) -> np.ndarray:
     to |vQ>, and T_R is diag(i^(v R v^T)), the level-2 gate of R.
     """
     m = _check_dense_m(gen.m)
-    if gen.kind == "H":
-        return _hadamard(m)
-    if gen.kind == "partialH":
-        t = gen.params["t"]
-        return np.kron(np.eye(1 << t, dtype=complex), _hadamard(m - t))
+    if gen.kind in ("H", "partialH"):
+        t = gen.params.get("t", 0)
+        out = np.eye(1 << t, dtype=complex)
+        for _ in range(m - t):
+            out = np.kron(out, _HADAMARD)
+        return out
     if gen.kind == "L_Q":
         rows = (_basis_vectors(m) @ gen.params["Q"] % 2) @ _index_weights(m)
         return dense_monomial((rows, np.zeros_like(rows)), 1)

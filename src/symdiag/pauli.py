@@ -90,16 +90,6 @@ class PhasedPauli:
     def phase(self) -> complex:
         return complex(np.exp(2j * math.pi * self.phase_num / (1 << self.phase_log2_den)))
 
-    def to_dict(self) -> dict:
-        d = self.label.to_dict()
-        d["phase_num"] = self.phase_num
-        d["phase_log2_den"] = self.phase_log2_den
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PhasedPauli":
-        return cls(d["phase_num"], d["phase_log2_den"], PauliLabel.from_dict(d))
-
 
 def _require_same_m(p: PauliLabel, q: PauliLabel) -> None:
     if p.m != q.m:

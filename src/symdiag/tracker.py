@@ -123,8 +123,7 @@ def apply_diagonal(gens: list[StructuredGenerator], form: SymForm) -> list[Struc
         num, den = _add_phase(g.phase_num, g.phase_log2_den, res.phase_exponent, form.k)
         fresh = None if res.residual.is_zero() else res.residual
         if isinstance(g.residual, np.ndarray):
-            d = dense_layer()
-            opaque = d @ g.residual @ d.conj().T
+            opaque = conjugate_dense(dense_layer(), g.residual)
             if fresh is not None:
                 opaque = dense_diagonal(fresh) @ opaque
             residual = opaque
@@ -141,26 +140,26 @@ def apply_diagonal(gens: list[StructuredGenerator], form: SymForm) -> list[Struc
 def _conjugate_residual(residual, layer: CliffordGen, dense_layer):
     if residual is None:
         return None
-    if isinstance(residual, np.ndarray):
-        return conjugate_dense(dense_layer(), residual)
-    if layer.kind == "T_R":
-        # a diagonal Clifford layer commutes with any diagonal residual
-        return residual
-    if layer.kind == "partialH" and layer.params["t"] == layer.m:
-        return residual
-    if layer.kind == "L_Q":
-        # |v> -> |vQ> relabels the quadratic form to Q^-1 R Q^-T; exact for
-        # permutations at any level, and for any invertible Q up to level 2
-        # (XOR carries only surface at level 3 and above); the products run
-        # in float64 for BLAS and stay exact, as every partial sum of binary
-        # qi times entries below 4 is far below 2^53
-        if layer.perm is not None:
-            p = layer.perm
-            return SymForm(residual.entries[p][:, p], residual.k)
-        if residual.k <= 2:
-            qi = layer.F[layer.m :, layer.m :].T.astype(np.float64)
-            return SymForm((qi @ residual.entries @ qi.T).astype(np.int64), residual.k)
-    return conjugate_dense(dense_layer(), dense_diagonal(residual))
+    if isinstance(residual, SymForm):
+        if layer.kind == "T_R":
+            # a diagonal Clifford layer commutes with any diagonal residual
+            return residual
+        if layer.kind == "partialH" and layer.params["t"] == layer.m:
+            return residual
+        if layer.kind == "L_Q":
+            # |v> -> |vQ> relabels the quadratic form to Q^-1 R Q^-T; exact for
+            # permutations at any level, and for any invertible Q up to level 2
+            # (XOR carries only surface at level 3 and above); the products run
+            # in float64 for BLAS and stay exact, as every partial sum of binary
+            # qi times entries below 4 is far below 2^53
+            if layer.perm is not None:
+                p = layer.perm
+                return SymForm(residual.entries[p][:, p], residual.k)
+            if residual.k <= 2:
+                qi = layer.F[layer.m :, layer.m :].T.astype(np.float64)
+                return SymForm((qi @ residual.entries @ qi.T).astype(np.int64), residual.k)
+    # an Opaque residual, or a form residual this layer demotes
+    return conjugate_dense(dense_layer(), _residual_dense(residual, layer.m))
 
 
 def apply_clifford(

@@ -266,6 +266,19 @@ class TestVerify:
         failing = [c for c in payload["checks"] if not c["passed"]]
         assert failing and failing[0]["detail"]  # counterexample located
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_injected_phase_error_fails_at_every_level(self, capsys, m, k):
+        code, out, _ = run(capsys, "verify", "--m", str(m), "--k", str(k), "--samples", "2",
+                           "--inject-phase-error", "--json")
+        failing = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+        assert code == 1 and failing == [f"conjugation-exactness(m={m},k={max(k, 2)})"]
+
+    def test_guard_upper_edge_passes(self, capsys):
+        code, out, _ = run(capsys, "verify", "--m", "4", "--k", "3", "--samples", "2", "--json")
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert code == 0 and checks["conjugation-exactness(m=4,k=3)"]["checked"] == 512
+
     def test_guard(self, capsys):
         for m in ("5", "0", "-1"):
             code, _, err = run(capsys, "verify", "--m", m)

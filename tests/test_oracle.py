@@ -1,7 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from symdiag import oracle
+from symdiag import diagonal, oracle
 from symdiag.checks import random_canonical_form
 from symdiag.diagonal import (
     SymForm,
@@ -17,6 +20,23 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]])
 Z = np.diag([1.0, -1.0]).astype(complex)
 T_FORM = SymForm(((1,),), 3)
+
+
+def test_oracle_owns_its_guard_and_basis_table():
+    """oracle reads only the value type and the bit utility from diagonal,
+    and diagonal keeps none of the oracle's guard, tables or indexing."""
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                and node.level == 1 and node.module == "diagonal" for alias in node.names]
+    assert sorted(imported) == ["SymForm", "index_vectors"]
+    names = set()
+    for node in ast.parse(Path(diagonal.__file__).read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    assert not names & {"MAX_DENSE_QUBITS", "_basis_table", "basis_index"}
 
 
 def test_dense_pauli_single_qubit():

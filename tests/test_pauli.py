@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from symdiag import oracle
-from symdiag.pauli import PauliLabel, PhasedPauli, multiply
+from symdiag.pauli import PauliLabel, multiply
 
 X = PauliLabel((1,), (0,))
 Z = PauliLabel((0,), (1,))
@@ -112,5 +112,3 @@ def test_commutation_sign_relation(data, a):
 def test_json_round_trip():
     p = PauliLabel((2, 1), (0, 3))
     assert PauliLabel.from_dict(p.to_dict()) == p
-    pp = PhasedPauli(2, 2, p)
-    assert PhasedPauli.from_dict(pp.to_dict()) == pp
