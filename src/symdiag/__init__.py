@@ -23,7 +23,6 @@ from .diagonal import (
     group_add,
     group_negate,
     group_order,
-    residual_form,
     standard_gate_table,
     synthesize,
     tensor,
@@ -101,7 +100,6 @@ __all__ = [
     "multiply",
     "partial_hadamard_generator",
     "phase_generator",
-    "residual_form",
     "run_circuit",
     "standard_gate_table",
     "synthesize",

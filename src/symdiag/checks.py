@@ -465,9 +465,7 @@ def default_suites(
     and hierarchy membership at desk scale."""
     rng = np.random.default_rng(seed)
     results = [
-        check_conjugation_exactness(
-            m, max(k, 2), samples, rng, exhaustive_paulis, flip_phase=flip_phase
-        ),
+        check_conjugation_exactness(m, k, samples, rng, exhaustive_paulis, flip_phase=flip_phase),
         check_xor_quadratic_identity(samples, rng, m=m, k=max(k, 2)),
         check_level2_exponents_vanish(min(m, 2)),
         check_exponent_shift_additivity(samples, rng, m=m, k=max(k, 2)),

@@ -9,9 +9,12 @@ Conjugating a Hermitian Pauli by such a gate yields a global phase, a new
 Pauli label, and a residual diagonal gate one level down, giving a recursion
 that bottoms out in plain Pauli sign flips.  This module implements that
 calculus exactly: evaluation, conjugation, tensor composition, the group law
-on forms, and synthesis of a form from a target exponent list.  Labels
+on forms, and synthesis of a form from a target exponent list.  The
+conjugation identity is written once, in _conjugation_table, for a table of
+labels: conjugate is its one-row view, global_phase_exponent reads its
+phase, and residual_exponent_table its phases and parity layers.  Labels
 come in as PauliLabel values, validated once when they were built: the
-conjugation functions check only that a label and a form share m.
+table checks only that a label and a form share m.
 """
 
 from __future__ import annotations
@@ -210,11 +213,44 @@ def xor_carry(v, form: SymForm, w) -> int:
     return int(((v + w) - meet) @ form.entries @ meet) % ring.modulus(form.k)
 
 
-def _layers(form: SymForm, p: PauliLabel):
-    """Binary layers a0, a1, b0, b1 of p, after the one dimension check."""
-    if p.m != form.m:
-        raise ValueError(f"dimension mismatch: Pauli on {p.m}, form on {form.m}")
-    return p.a & 1, (p.a >> 1) & 1, p.b & 1, (p.b >> 1) & 1
+def _label_step(form: SymForm, a0: np.ndarray, b0: np.ndarray) -> np.ndarray:
+    """Unreduced label b0 + a0 R (mod 2^max(k, 1)) of the row action
+    [a0, b0] Gamma(R), for one row a0 or a stack of rows; its second binary
+    layer is the sign that reducing the label mod 2 folds into the phase."""
+    return (b0 + a0 @ form.entries) % ring.modulus(max(form.k, 1))
+
+
+def _conjugation_table(form: SymForm, labels):
+    """The conjugation identity of every label p = (a, b), unreduced:
+
+        gate(R, k) E(p) gate(R, k)^dagger = xi^phi E(a0, w) gate(R', k-1),
+
+    as arrays phi (n,), a0 and w (n, m), and R' (n, m, m), one row per
+    label.  For k >= 2, phi = (1 - 2^(k-2)) a0 R a0 + 2^(k-1) (a0.b1 +
+    b0.a1) and w = b0 + a0 R (mod 2^k), the row action of Gamma(R); off the
+    diagonal R'_ij = -R_ij (a0_i XOR a0_j), on it R'_ii = (1 + 2^(k-2) -
+    2 a0_i) (a0 R)_i.  At k = 1 the gate is the Pauli Z^d, d the diagonal
+    of R: phi = a0.d + a0.b1 + b0.a1 (mod 2), w = b0 and R' = 0.  a0 R is
+    formed once for all labels; O(n m^2).
+    """
+    n, m, k, R = len(labels), form.m, form.k, form.entries
+    for p in labels:
+        if p.m != m:
+            raise ValueError(f"dimension mismatch: Pauli on {p.m}, form on {m}")
+    ab = np.array([(p.a, p.b) for p in labels], dtype=np.int64).reshape(n, 2, m)
+    low = ab & 1
+    a0, b0 = low[:, 0], low[:, 1]
+    cross = (low * ((ab >> 1) & 1)[:, ::-1]).sum((1, 2))  # a0.b1 + b0.a1
+    if k < 2:
+        return (a0 @ R.diagonal() + cross) % 2, a0, b0, np.zeros((n, m, m), dtype=np.int64)
+    quarter = 1 << (k - 2)
+    w = _label_step(form, a0, b0)
+    aR = w - b0  # a0 R (mod 2^k), without a second product
+    phi = ((1 - quarter) * (aR * a0).sum(1) + 2 * quarter * cross) % ring.modulus(k)
+    R_next = R * (a0[:, :, None] ^ a0[:, None, :])
+    np.negative(R_next, out=R_next)
+    R_next.reshape(n, m * m)[:, :: m + 1] = (1 + quarter - 2 * a0) * aR
+    return phi, a0, w, R_next
 
 
 def residual_exponent_table(form: SymForm, labels, V: np.ndarray | None = None) -> np.ndarray:
@@ -226,11 +262,13 @@ def residual_exponent_table(form: SymForm, labels, V: np.ndarray | None = None) 
     (2 + 2^(k-1)) v R a0 - 4 (v OR a0) R (v AND a0) is twice a quadratic
     form one level down.
     """
+    k = form.k
+    if k < 2:
+        raise ValueError("global phase exponent needs level k >= 2")
     if V is None:
         V = index_vectors(form.m)
-    k = form.k
-    phi = np.array([global_phase_exponent(form, p) for p in labels], dtype=np.int64)
-    a0 = np.array([p.a & 1 for p in labels], dtype=np.int64).reshape(len(labels), 1, form.m)
+    phi, a0 = _conjugation_table(form, labels)[:2]
+    a0 = a0[:, None, :]
     R = form.entries
     meet = V * a0
     carry = np.einsum("nij,jk,nik->ni", V + a0 - meet, R, meet)
@@ -240,68 +278,29 @@ def residual_exponent_table(form: SymForm, labels, V: np.ndarray | None = None) 
 
 def global_phase_exponent(form: SymForm, p: PauliLabel) -> int:
     """The v-independent part of the residual exponent of E(p) (levels k >= 2)."""
-    k = form.k
-    if k < 2:
+    if form.k < 2:
         raise ValueError("global phase exponent needs level k >= 2")
-    a0, a1, b0, b1 = _layers(form, p)
-    R = form.entries
-    val = (1 - (1 << (k - 2))) * int(a0 @ R @ a0) + (1 << (k - 1)) * (
-        int(a0 @ b1) + int(b0 @ a1)
-    )
-    return val % ring.modulus(k)
-
-
-def _label_step(form: SymForm, a0: np.ndarray, b0: np.ndarray) -> np.ndarray:
-    """Unreduced label b0 + a0 R (mod 2^max(k, 1)) of the row action
-    [a0, b0] Gamma(R); its second binary layer is the sign that reducing
-    the label mod 2 folds into the conjugation phase."""
-    return (b0 + a0 @ form.entries) % ring.modulus(max(form.k, 1))
-
-
-def residual_form(form: SymForm, p: PauliLabel) -> SymForm:
-    """Symmetric form of the residual diagonal gate of E(p), one level down.
-
-    Off the diagonal, R'_ij = -R_ij (a0_i XOR a0_j); on it,
-    R'_ii = (1 + 2^(k-2) - 2 a0_i) (a0 R)_i.  Canonical at level k-1;
-    O(m^2).  Requires k >= 2.
-    """
-    k = form.k
-    if k < 2:
-        raise ValueError("residual form needs level k >= 2")
-    a0 = _layers(form, p)[0]
-    R = form.entries
-    raw = -R * (a0[:, None] ^ a0[None, :])
-    np.fill_diagonal(raw, ((1 + (1 << (k - 2))) - 2 * a0) * (a0 @ R))
-    return SymForm(raw, k - 1)
+    return int(_conjugation_table(form, [p])[0][0])
 
 
 def conjugate(form: SymForm, p: PauliLabel) -> ConjugationResult:
     """Conjugate the Hermitian Pauli E(p) by the diagonal gate of `form`.
 
-    For k >= 2 the result is xi^phi * E(a0, b0 + a0 R) * gate(R', k-1);
-    the output label is reduced to binary layers with the reduction sign
-    absorbed into phi, so the returned triple reproduces the conjugation
-    exactly as matrices.
+    The one-label row of _conjugation_table, with the output label reduced
+    to binary layers and the reduction sign 2^(k-1) a0.w1 absorbed into
+    phi, so the returned triple reproduces the conjugation exactly as
+    matrices: xi^phi * E(a0, w mod 2) * gate(R', k-1).
 
     For k = 1 the gate is itself a Pauli (a Z-type sign pattern), so the
     label passes through unchanged and only a sign remains; the residual
     is the empty level-0 form.
     """
+    (phi,), (a0,), (w,), (R_next,) = _conjugation_table(form, [p])
     k = form.k
-    a0, a1, b0, b1 = _layers(form, p)
     if k < 1:
         raise ValueError("conjugation needs level k >= 1")
-    if k == 1:
-        d = form.entries.diagonal()
-        phi = (int(a0 @ d) + int(a0 @ b1) + int(a1 @ b0)) % 2
-        label = PauliLabel(a0, b0)
-        return ConjugationResult(1, phi, label, SymForm.zeros(form.m, 0))
-    M = ring.modulus(k)
-    phi = global_phase_exponent(form, p)
-    w = _label_step(form, a0, b0)
-    phi = (phi + (1 << (k - 1)) * int(a0 @ ((w >> 1) & 1))) % M
-    label = PauliLabel(a0, w & 1)
-    return ConjugationResult(k, phi, label, residual_form(form, p))
+    phi = (int(phi) + (1 << (k - 1)) * int(a0 @ ((w >> 1) & 1))) % ring.modulus(k)
+    return ConjugationResult(k, phi, PauliLabel(a0, w & 1), SymForm(R_next, k - 1))
 
 
 def full_recursion_trace(form: SymForm, p: PauliLabel) -> list[ConjugationResult]:

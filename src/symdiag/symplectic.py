@@ -4,7 +4,7 @@ gamma_matrix builds the upper-triangular block lift Gamma(R) = [[I, R],
 [0, I]] of a symmetric form.  It satisfies the symplectic condition modulo
 2 (is_binary_symplectic, the one such check) and carries the label part of
 diagonal-gate conjugation: apply_gamma computes [a0, b0] Gamma(R) with the
-same label step that diagonal.conjugate uses.  The standard Clifford
+same row action that diagonal's conjugation table uses.  The standard Clifford
 generators are symbolic: each carries its binary symplectic F and the
 parameters of its kind.  They are the transversal Hadamard, basis changes
 |v> -> |vQ>, Clifford diagonal phase layers (whose F is Gamma(R) at level

@@ -42,6 +42,16 @@ def test_default_suites_names_and_counts():
     ]
 
 
+def test_level_one_phase_fault_fails_verify_at_k1(monkeypatch, capsys):
+    # verify --k 1 runs conjugation-exactness at k = 1, so a fault in the
+    # level-1 sign rule alone fails it at the first label
+    monkeypatch.setattr(checks, "conjugate", _shifted_phase_at_level_one(checks.conjugate))
+    code = main(["verify", "--m", "2", "--k", "1", "--samples", "10", "--json"])
+    failing = [c for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]]
+    assert code == 1
+    assert [(c["name"], c["checked"]) for c in failing] == [("conjugation-exactness(m=2,k=1)", 1)]
+
+
 def test_sampled_paulis_count_four_labels_per_sample(capsys):
     sampled = checks.default_suites(m=2, k=3, samples=3, exhaustive_paulis=False)
     assert _counts(sampled) == [("conjugation-exactness(m=2,k=3)", 12), *SUITE_M2[1:]]
@@ -55,6 +65,14 @@ def _shifted_phase(orig):
     def conjugate(form, p):
         res = orig(form, p)
         return dataclasses.replace(res, phase_exponent=res.phase_exponent + 1)
+    return conjugate
+
+
+def _shifted_phase_at_level_one(orig):
+    """A +1 in the phase of level-1 conjugations only."""
+    def conjugate(form, p):
+        res = orig(form, p)
+        return dataclasses.replace(res, phase_exponent=res.phase_exponent + (form.k == 1))
     return conjugate
 
 

@@ -272,7 +272,7 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--m", str(m), "--k", str(k), "--samples", "2",
                            "--inject-phase-error", "--json")
         failing = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
-        assert code == 1 and failing == [f"conjugation-exactness(m={m},k={max(k, 2)})"]
+        assert code == 1 and failing == [f"conjugation-exactness(m={m},k={k})"]
 
     def test_guard_upper_edge_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--m", "4", "--k", "3", "--samples", "2", "--json")

@@ -21,7 +21,6 @@ from symdiag.diagonal import (
     group_order,
     index_vectors,
     residual_exponent_table,
-    residual_form,
     standard_gate_table,
     synthesize,
     tensor,
@@ -195,7 +194,7 @@ def _residual_level(m):
         if form not in memo:
             R, d = form.entries, form.entries.diagonal()
             pauli = not np.any(R - np.diag(d)) and not np.any(d % (1 << (form.k - 1)))
-            memo[form] = 1 if pauli else 1 + max(level(residual_form(form, p)) for p in shifts)
+            memo[form] = 1 if pauli else 1 + max(level(conjugate(form, p).residual) for p in shifts)
         return memo[form]
 
     return level
@@ -254,18 +253,47 @@ def residual_tables(draw):
     return SymForm(upper + np.triu(upper, 1).T, k), labels
 
 
+@st.composite
+def conjugation_tables(draw):
+    """A form at m 1-5, k 2-7, and 2-5 labels with live second layers."""
+    m, k = draw(st.integers(1, 5)), draw(st.integers(2, 7))
+    flat = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=m * m, max_size=m * m))
+    upper = np.triu(np.array(flat, dtype=np.int64).reshape(m, m))
+    vec = st.lists(st.integers(0, 3), min_size=m, max_size=m)
+    labels = draw(st.lists(st.builds(PauliLabel, vec, vec), min_size=2, max_size=5))
+    return SymForm(upper + np.triu(upper, 1).T, k), labels
+
+
+@given(conjugation_tables())
+def test_conjugation_table_rows_are_one_label_tables_and_conjugate_folds_its_row(case):
+    # row i of the stacked table is the one-label table of label i, and
+    # conjugate is that row with the label reduced mod 2 and its sign folded in
+    form, labels = case
+    k = form.k
+    table = diagonal._conjugation_table(form, labels)
+    assert [t.shape[0] for t in table] == [len(labels)] * 4
+    for i, p in enumerate(labels):
+        phi, a0, w, R_next = (t[i] for t in table)
+        for part, one in zip((phi, a0, w, R_next), diagonal._conjugation_table(form, [p])):
+            assert np.array_equal(part, one[0])
+        res = conjugate(form, p)
+        assert res.phase_exponent == (phi + (1 << (k - 1)) * int(a0 @ ((w >> 1) & 1))) % (1 << k)
+        assert res.label == PauliLabel(a0, w % 2)
+        assert res.residual == SymForm(R_next, k - 1)
+
+
 class TestResidualExponent:
     @given(residual_tables())
     def test_table_rows_are_one_label_rows_and_residual_forms(self, case):
         # each row of the one-broadcast table is that label's one-label table,
-        # and phi + 2 v R' v^T with R' from residual_form
+        # and phi + 2 v R' v^T with R' the residual conjugate returns
         form, labels = case
         V = index_vectors(form.m)
         table = residual_exponent_table(form, labels)
         assert table.shape == (len(labels), 1 << form.m)
         for p, row in zip(labels, table):
             assert np.array_equal(row, residual_exponent_table(form, [p])[0])
-            R_next = residual_form(form, p).entries
+            R_next = conjugate(form, p).residual.entries
             quad = np.einsum("vi,ij,vj->v", V, R_next, V)
             assert np.array_equal(row, (global_phase_exponent(form, p) + 2 * quad) % (1 << form.k))
 
@@ -298,7 +326,7 @@ class TestResidualExponent:
     @pytest.mark.parametrize("m", ["T", "zero", 3, 64, 256])
     def test_residual_form_exact_at_large_m(self, m):
         # residual exponent == global phase + 2 v R' v^T (mod 2^k): the
-        # mask-built residual form against the carry formula, from the T gate
+        # mask-built residual form of conjugate against the carry formula, from the T gate
         # on X and a zero form through m=3 to bench sizes, where the dense
         # sweeps (m <= 3) and full basis tables cannot reach, so the
         # carry formula is evaluated on the drawn rows alone
@@ -310,7 +338,7 @@ class TestResidualExponent:
             cases = _random_residual_cases(m, 12 if m == 3 else 1)
         for form, p, vs in cases:
             phi = global_phase_exponent(form, p)
-            R_next = residual_form(form, p).entries
+            R_next = conjugate(form, p).residual.entries
             vs = np.asarray(vs)
             rows = residual_exponent_table(form, [p], vs)[0]
             for v, got in zip(vs, rows):
@@ -325,7 +353,6 @@ class TestLabelBoundary:
         "conjugate": conjugate,
         "full_recursion_trace": full_recursion_trace,
         "global_phase_exponent": global_phase_exponent,
-        "residual_form": residual_form,
         "residual_exponent_list": lambda form, p: residual_exponent_table(form, [p])[0].tolist(),
     }
 
